@@ -10,7 +10,8 @@ int per time point and the closure rules become mask arithmetic.
 Each step advances every branch simultaneously: record occurrences,
 check executability against current knowledge, split a branch when it
 senses a fluent it does not know, then close the new layer under the
-inference rules:
+inference rules, each of which relates one step pair (t, t+1) or, for
+the oneof rule, time point 0 alone:
 
 * causation: an applied effect whose conditions are all known produces
   knowledge of the effect at the next time point;
@@ -26,15 +27,35 @@ inference rules:
 A branch split copies the parent's newest layer and its applied-effect
 history, so the child re-evaluates the shared past under its own
 sensing outcome.  Branches never communicate after the split.
+
+Every effect proposition is compiled once per domain into masks over
+the literal bits: its conditions, their complements (the falsifiers)
+and its effect.  "Possibly fired" is then `row & falsifier == 0`,
+causation is `row & cond == cond`, positive postdiction adds `cond`,
+and negative postdiction adds the complement of the one condition not
+yet known to hold, or of every condition when all are known.
+
+Closure is incremental.  All rules are monotone, so a layer has one
+least fixpoint above its starting rows, and any order of rule
+application that stops only when no rule adds anything reaches it.
+Layer h+1 starts as a copy of layer h, which is already closed over
+the pairs below h, plus the sensing result at h and an empty row h+1.
+A rule reads and writes only its own pair (or point 0), so the only
+rules that can fire at first are those touching a changed point; a
+worklist over pairs starts there, and a pair that changes a row
+requeues the pairs sharing that row (and the oneof rule for point 0).
+Seeding with every point instead closes a layer from scratch, which
+the assertion-checked build uses to confirm the incremental result.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from hindsight.model import (
+    Action,
     EffectProposition,
     Literal,
     PlanningDomain,
@@ -82,6 +103,7 @@ class Branch:
         "created_at",
         "layers",
         "applied",
+        "rules",
         "occurrences",
         "observations",
         "sensing_results",
@@ -94,6 +116,8 @@ class Branch:
         self.layers: list[list[int]] = []
         # applied[t]: effect propositions of the actions that occurred at t
         self.applied: list[tuple[EffectProposition, ...]] = []
+        # rules[t]: the compiled masks of applied[t], in the same order
+        self.rules: list[tuple[tuple[int, int, int, int, int], ...]] = []
         self.occurrences: dict[int, tuple[str, ...]] = {}
         # observations[t]: (fluent, value) this timeline saw at step t
         self.observations: dict[int, tuple[str, bool]] = {}
@@ -109,6 +133,7 @@ class Branch:
         b = Branch(self.parent, self.created_at)
         b.layers = [list(row) for row in self.layers]
         b.applied = list(self.applied)
+        b.rules = list(self.rules)
         b.occurrences = dict(self.occurrences)
         b.observations = dict(self.observations)
         b.sensing_results = dict(self.sensing_results)
@@ -140,20 +165,21 @@ class EpistemicState:
         self._findex = {f: i for i, f in enumerate(domain.fluents)}
         nbits = 2 * len(domain.fluents)
         self._even = sum(1 << b for b in range(0, nbits, 2))
-        self._oneof_bits = tuple(
-            tuple(self._bit(lit) for lit in oo.literals) for oo in domain.oneofs
-        )
+        self._actions = {a.name: a for a in domain.actions}
+        self._exec_masks = {a.name: self._mask(a.executability) for a in domain.actions}
+        self._action_rules = {
+            a.name: tuple(self._compile(ep) for ep in a.effect_props)
+            for a in domain.actions
+        }
+        self._oneofs = tuple(self._compile_oneof(oo.literals) for oo in domain.oneofs)
 
         self.horizon = 0
         self.inconsistent = False
         self.events: tuple[BranchEvent, ...] = ()
         root = Branch(parent=None, created_at=-1)
-        init_mask = 0
-        for lit in domain.init:
-            init_mask |= 1 << self._bit(lit)
-        root.layers = [[init_mask]]
+        root.layers = [[self._mask(domain.init)]]
         self.branches: dict[int, Branch] = {0: root}
-        self._close_layer(root, 0)
+        self._close_layer(root, 0, (0,))
         self.inconsistent = self._scan_inconsistent()
         if self.checks:
             self._run_checks(previous=None)
@@ -166,9 +192,32 @@ class EpistemicState:
     def _lit_of_bit(self, bit: int) -> Literal:
         return Literal(self.domain.fluents[bit // 2], bit % 2 == 0)
 
+    def _mask(self, lits: Iterable[Literal]) -> int:
+        mask = 0
+        for lit in lits:
+            mask |= 1 << self._bit(lit)
+        return mask
+
     def _complement_mask(self, mask: int) -> int:
         """Swap each literal bit with its complement's bit."""
         return ((mask & self._even) << 1) | ((mask >> 1) & self._even)
+
+    def _compile(self, ep: EffectProposition) -> tuple[int, int, int, int, int]:
+        """(cond, falsifier, effect, effect complement, lone) masks of one
+        effect proposition.  `lone` holds the condition bits listed once:
+        negative postdiction never blames a condition that is repeated."""
+        cond = lone = 0
+        for c in ep.conditions:
+            bit = 1 << self._bit(c)
+            lone = (lone | bit) & ~(cond & bit)
+            cond |= bit
+        eff = 1 << self._bit(ep.effect)
+        return cond, self._complement_mask(cond), eff, self._complement_mask(eff), lone
+
+    def _compile_oneof(self, literals: Sequence[Literal]) -> tuple:
+        """(mask of the literals' complements, ((bit, complement bit), ...))."""
+        pairs = tuple((1 << self._bit(lit), 1 << (self._bit(lit) ^ 1)) for lit in literals)
+        return sum(nb for _pb, nb in pairs), pairs
 
     # -- queries ---------------------------------------------------------------
 
@@ -201,10 +250,14 @@ class EpistemicState:
             return False
         return None
 
+    def action(self, name: str) -> Action:
+        """The domain's action called `name`; KeyError when there is none."""
+        return self._actions[name]
+
     def is_executable(self, branch: int, action_name: str) -> bool:
-        a = self.domain.action(action_name)
+        need = self._exec_masks[action_name]
         h = self.horizon
-        return all(self.knows(lit, h, branch, h) for lit in a.executability)
+        return self.branches[branch].layers[h][h] & need == need
 
     # -- stepping ---------------------------------------------------------------
 
@@ -237,7 +290,7 @@ class EpistemicState:
             if len(set(names)) != len(names):
                 raise ConcurrencyError(f"repeated action in one step on branch {br}")
             try:
-                actions = [self.domain.action(n) for n in names]
+                actions = [self._actions[n] for n in names]
             except KeyError as exc:
                 raise EngineError(f"unknown action {exc.args[0]!r}") from None
             sensors = [a for a in actions if a.is_sensing]
@@ -246,23 +299,29 @@ class EpistemicState:
                     f"two sensing actions at step {h} on branch {br}"
                 )
             for a in actions:
-                for lit in a.executability:
-                    if not self.knows(lit, h, br, h):
-                        raise ExecutabilityError(
-                            f"'{a.name}' at step {h} on branch {br} "
-                            f"requires {lit} to be known"
-                        )
+                if not self.is_executable(br, a.name):
+                    lit = next(
+                        lit for lit in a.executability if not self.knows(lit, h, br, h)
+                    )
+                    raise ExecutabilityError(
+                        f"'{a.name}' at step {h} on branch {br} "
+                        f"requires {lit} to be known"
+                    )
             eps = tuple(ep for a in actions for ep in a.effect_props)
             self._check_interference(eps, h, br)
             b = nxt.branches[br]
             b.occurrences[h] = names
             b.applied.append(eps)
+            b.rules.append(
+                tuple(r for a in actions for r in self._action_rules[a.name])
+            )
             if sensors:
                 pending_sensing.append((br, sensors[0].knowledge_props[0].fluent))
 
         for br, b in nxt.branches.items():
             if len(b.applied) == h:  # idling branch
                 b.applied.append(())
+                b.rules.append(())
 
         # 2. resolve sensing: known value is recorded; unknown splits the branch
         for br, fluent in pending_sensing:
@@ -287,6 +346,7 @@ class EpistemicState:
                 child.layers = [[0] * (t1 + 1) for t1 in range(h)]
                 child.layers.append(list(parent.layers[h]))
                 child.applied = list(parent.applied)
+                child.rules = list(parent.rules)
                 nxt.branches[child_id] = child
                 nxt.events = nxt.events + (BranchEvent(h, br, child_id, fluent),)
                 parent.observations[h] = (fluent, True)
@@ -294,16 +354,19 @@ class EpistemicState:
                 child.observations[h] = (fluent, False)
                 child.sensing_results[h] = (fluent, False)
 
-        # 3. open layer h+1 (persistence seed), add sensing knowledge, close it
-        for br, b in nxt.branches.items():
+        # 3. open layer h+1 as a copy of closed layer h, add sensing
+        # knowledge, and close it from the points that differ: h+1 always,
+        # h when a sensing result landed there
+        nxt.horizon = h + 1
+        for b in nxt.branches.values():
             b.layers.append(list(b.layers[h]) + [0])
             res = b.sensing_results.get(h)
             if res is not None:
                 fluent, value = res
                 b.layers[h + 1][h] |= 1 << self._bit(Literal(fluent, value))
-        nxt.horizon = h + 1
-        for b in nxt.branches.values():
-            nxt._close_layer(b, h + 1)
+                nxt._close_layer(b, h + 1, (h, h + 1))
+            else:
+                nxt._close_layer(b, h + 1, (h + 1,))
 
         nxt.inconsistent = nxt._scan_inconsistent()
         if nxt.checks:
@@ -318,7 +381,10 @@ class EpistemicState:
         clone.checks = self.checks
         clone._findex = self._findex
         clone._even = self._even
-        clone._oneof_bits = self._oneof_bits
+        clone._actions = self._actions
+        clone._exec_masks = self._exec_masks
+        clone._action_rules = self._action_rules
+        clone._oneofs = self._oneofs
         clone.horizon = self.horizon
         clone.inconsistent = self.inconsistent
         clone.events = self.events
@@ -354,76 +420,94 @@ class EpistemicState:
 
     # -- closure ---------------------------------------------------------------
 
-    def _possibly_fired(self, b: Branch, t: int, row: int) -> int:
-        """Mask of effect literals some applied proposition at step t may
+    @staticmethod
+    def _possibly_fired(rules: tuple, row: int) -> int:
+        """Mask of effect literals some applied proposition of a step may
         have produced, judging its conditions by knowledge `row`."""
         mask = 0
-        for ep in b.applied[t]:
-            for c in ep.conditions:
-                if row >> (self._bit(c) ^ 1) & 1:
-                    break  # a condition is known false: cannot have fired
-            else:
-                mask |= 1 << self._bit(ep.effect)
+        for _cond, falsifier, eff, _effc, _lone in rules:
+            if not row & falsifier:
+                mask |= eff
         return mask
 
-    def _close_layer(self, b: Branch, s: int) -> None:
-        """Least fixpoint of the inference rules on layer s of one branch."""
+    def _close_layer(self, b: Branch, s: int, changed: Iterable[int]) -> None:
+        """Least fixpoint of the inference rules on layer s of one branch.
+
+        Every rule touching a time point outside `changed` must already
+        hold on the layer; passing every point closes it from scratch.
+        """
         masks = b.layers[s]
-        steps = range(min(len(b.applied), s))
+        last = min(len(b.rules), s)  # pairs (t, t+1) for t < last
+        pending = 0  # bit t: pair (t, t+1) is queued
+        oneof = False
+        for p in changed:
+            oneof = oneof or p == 0
+            if p < last:
+                pending |= 1 << p
+            if 0 < p <= last:
+                pending |= 1 << (p - 1)
         while True:
-            changed = False
-
-            # persistence, forward then backward, against possible interference
-            fired = [self._possibly_fired(b, t, masks[t]) for t in steps]
-            for t in steps:
-                add = masks[t] & ~self._complement_mask(fired[t]) & ~masks[t + 1]
-                if add:
-                    masks[t + 1] |= add
-                    changed = True
-            for t in range(len(fired), 0, -1):
-                add = masks[t] & ~fired[t - 1] & ~masks[t - 1]
-                if add:
-                    masks[t - 1] |= add
-                    changed = True
-
-            # exactly-one initial constraints: rule in / rule out alternatives
-            for bits in self._oneof_bits:
-                for i, bi in enumerate(bits):
-                    if masks[0] >> bi & 1:
-                        for j, bj in enumerate(bits):
-                            if j != i and not masks[0] >> (bj ^ 1) & 1:
-                                masks[0] |= 1 << (bj ^ 1)
-                                changed = True
-                    elif all(masks[0] >> (bj ^ 1) & 1 for j, bj in enumerate(bits) if j != i):
-                        masks[0] |= 1 << bi
-                        changed = True
-
-            # causation and the two postdiction directions
-            for t in steps:
-                for ep in b.applied[t]:
-                    eb = self._bit(ep.effect)
-                    cbits = [self._bit(c) for c in ep.conditions]
-                    if all(masks[t] >> cb & 1 for cb in cbits) and not masks[t + 1] >> eb & 1:
-                        masks[t + 1] |= 1 << eb
-                        changed = True
-                    if masks[t + 1] >> eb & 1 and masks[t] >> (eb ^ 1) & 1:
-                        for cb in cbits:
-                            if not masks[t] >> cb & 1:
-                                masks[t] |= 1 << cb
-                                changed = True
-                    if masks[t + 1] >> (eb ^ 1) & 1:
-                        for i, cb in enumerate(cbits):
-                            others_known = all(
-                                masks[t] >> cj & 1
-                                for j, cj in enumerate(cbits)
-                                if j != i
-                            )
-                            if others_known and not masks[t] >> (cb ^ 1) & 1:
-                                masks[t] |= 1 << (cb ^ 1)
-                                changed = True
-
-            if not changed:
+            if oneof:
+                oneof = False
+                row = self._close_oneofs(masks[0])
+                if row != masks[0]:
+                    masks[0] = row
+                    if last:
+                        pending |= 1
+            if not pending:
                 return
+            t = pending.bit_length() - 1
+            pending ^= 1 << t
+            lo, hi = self._close_pair(b.rules[t], masks[t], masks[t + 1])
+            if lo != masks[t]:
+                masks[t] = lo
+                if t:
+                    pending |= 1 << (t - 1)
+                else:
+                    oneof = True
+            if hi != masks[t + 1]:
+                masks[t + 1] = hi
+                if t + 1 < last:
+                    pending |= 1 << (t + 1)
+
+    def _close_pair(self, rules: tuple, lo: int, hi: int) -> tuple[int, int]:
+        """Close rows t (`lo`) and t+1 (`hi`) under the rules of step t:
+        persistence both ways, causation and the two postdictions."""
+        if not rules:  # an idle step: each row persists into the other
+            both = lo | hi
+            return both, both
+        complement = self._complement_mask
+        while True:
+            fired = self._possibly_fired(rules, lo)
+            new_hi = hi | (lo & ~complement(fired))
+            new_lo = lo | (new_hi & ~fired)
+            for cond, falsifier, eff, effc, lone in rules:
+                if new_lo & cond == cond:
+                    new_hi |= eff
+                if new_hi & eff and new_lo & effc:
+                    new_lo |= cond
+                if new_hi & effc:
+                    missing = cond & ~new_lo
+                    if not missing:
+                        new_lo |= falsifier
+                    elif not missing & (missing - 1) and missing & lone:
+                        new_lo |= complement(missing)
+            if new_lo == lo and new_hi == hi:
+                return lo, hi
+            lo, hi = new_lo, new_hi
+
+    def _close_oneofs(self, row: int) -> int:
+        """Close time point 0 under the exactly-one initial constraints."""
+        while True:
+            before = row
+            for negs, pairs in self._oneofs:
+                for pb, nb in pairs:
+                    if row & pb:
+                        row |= negs & ~nb  # ruled in: every sibling is false
+                    elif (row | nb) & negs == negs:
+                        row |= pb  # every sibling ruled out
+            if row == before:
+                return row
 
     def _scan_inconsistent(self) -> bool:
         for b in self.branches.values():
@@ -451,7 +535,7 @@ class EpistemicState:
                 sensing = False
                 for n in names:
                     out.append(f"occ({n},{t},{bid})")
-                    sensing = sensing or self.domain.action(n).is_sensing
+                    sensing = sensing or self._actions[n].is_sensing
                 if sensing:
                     out.append(f"sOcc({t},{bid})")
             for t, eps in enumerate(b.applied):
@@ -464,7 +548,7 @@ class EpistemicState:
                 out.append(f"uBr({t},{bid})")
             for t1 in range(max(b.used_from, 0), self.horizon + 1):
                 for t in range(min(t1 + 1, len(b.applied))):
-                    fired = self._possibly_fired(b, t, b.layers[t1][t])
+                    fired = self._possibly_fired(b.rules[t], b.layers[t1][t])
                     for f in self.domain.fluents:
                         pos_bit = self._bit(Literal(f, True))
                         if not fired >> pos_bit & 1:
@@ -504,9 +588,10 @@ class EpistemicState:
                 assert b.parent in self.branches, "dangling parent"
                 assert b.parent < bid, "child index not above parent"
                 assert self.branches[b.parent].created_at < b.created_at
-            # idempotence: closing the final layer again must add nothing
+            # idempotence: closing the final layer again from scratch, with
+            # every point seeded, must add nothing to the incremental result
             snapshot = [list(row) for row in b.layers]
-            self._close_layer(b, self.horizon)
+            self._close_layer(b, self.horizon, range(self.horizon + 1))
             assert [list(row) for row in b.layers] == snapshot, (
                 f"final layer of branch {bid} was not closed"
             )

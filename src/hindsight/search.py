@@ -7,7 +7,9 @@ at a time — after a split the two sides share no knowledge, so each is
 solved independently against the same engine state, the strong goal
 owed by both sides and the weak goal by at least one.  Horizons are
 iteratively deepened, so the first plan found uses the fewest steps;
-minimum-occurrence search adds an outer action-count budget.
+minimum-occurrence search adds an outer action-count budget.  Every
+search step applies at least one action: a wait only shifts the state
+one time point, so no search ever needed one (see _candidates).
 
 Every plan returned by a search is replayed through the engine from
 scratch by verify_plan, which is also the public checker for plans
@@ -49,7 +51,8 @@ class Leaf:
 class Step:
     """One time step of a plan timeline.
 
-    `actions` may be empty (a deliberate wait).  `sensed` names the
+    `actions` may be empty (a deliberate wait); searches never return
+    one, but parse_atoms rebuilds idle gaps that way.  `sensed` names the
     fluent observed this step, if any.  A sensing step with `on_false`
     set splits: `on_true`/`on_false` continue the two outcomes.  With
     `on_false` unset the continuation is always `on_true` and `outcome`
@@ -437,11 +440,25 @@ def verify_plan(
 def _candidates(
     state: EpistemicState, branch: int, concurrent: bool, prune: bool = False
 ) -> list[tuple[str, ...]]:
-    """Occurrence sets to try, cheapest-informative first, waiting last.
+    """Occurrence sets to try: single actions in name order, or in
+    concurrent mode action subsets smallest first with at most one
+    sensor each.
 
     Sensing a fluent whose value is already known derives nothing and
-    is skipped.  Concurrent mode enumerates action subsets smallest
-    first with at most one sensor each.
+    is skipped.
+
+    Waiting (the empty set) is never a candidate.  An idle step applies
+    nothing, so closing it copies row t to t+1, and persistence carries
+    every literal across it in both directions: the state after a wait
+    is the state before it shifted one time point, with the same
+    candidates and the same goal test.  Waits also cost no occurrences,
+    so for every plan with a wait, the plan without it has the same
+    occurrence and split budgets.  When waits were tried, they came
+    last, so that plan came earlier in depth-first order, on every
+    timeline and across the parent/child generators of a split, and
+    under iterative deepening it was also tried one horizon earlier.
+    No search ever returned a wait, so leaving waits out changes no
+    returned plan and no horizon; it only skips the subtrees below them.
 
     With `prune`, physical actions whose every effect literal is
     already known true are also skipped.  That loses completeness in
@@ -469,14 +486,14 @@ def _candidates(
         names.append(action.name)
     names.sort()
     if not concurrent:
-        return [(n,) for n in names] + [()]
+        return [(n,) for n in names]
     subsets: list[tuple[str, ...]] = []
     for size in range(1, len(names) + 1):
         for combo in combinations(names, size):
-            sensors = sum(1 for n in combo if state.domain.action(n).is_sensing)
+            sensors = sum(1 for n in combo if state.action(n).is_sensing)
             if sensors <= 1:
                 subsets.append(combo)
-    return subsets + [()]
+    return subsets
 
 
 def _make_solver(domain: PlanningDomain, concurrent: bool, prune: bool = False) -> Callable:
@@ -519,7 +536,7 @@ def _make_solver(domain: PlanningDomain, concurrent: bool, prune: bool = False) 
         if occ_budget is not None and cost > occ_budget:
             return
         try:
-            nxt = state.step({branch: acts} if acts else {})
+            nxt = state.step({branch: acts})
         except (ConcurrencyError, BranchBudgetError):
             return
         if nxt.inconsistent:

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
+import random
 
 import pytest
 
+from hindsight import search
+from hindsight.generators import (
+    benchmark_bounds,
+    generate_bomb,
+    generate_rings,
+    generate_sickness,
+)
 from hindsight.model import (
     Action,
     EffectProposition,
@@ -200,6 +208,48 @@ def test_optimal_search_on_the_door_domain_matches_the_first_plan():
 
 def test_optimal_search_reports_unsolvable_domains():
     assert find_optimal_plan(door_domain(), max_steps=2, max_branches=1) is None
+
+
+# ---------------------------------------------------------------------------
+# waits
+
+
+def _searches(domain, bounds, concurrent_bounds):
+    steps, branches = bounds
+    return (
+        find_plan(domain, steps, branches, checks=False),
+        find_plan(domain, steps, branches, deepen=False, checks=False),
+        find_optimal_plan(domain, steps, branches, checks=False),
+        find_plan(domain, *concurrent_bounds, concurrent=True, checks=False),
+    )
+
+
+def test_leaving_out_waits_changes_no_returned_plan(monkeypatch):
+    from test_acceptance import _random_domain
+
+    cases = [
+        (_random_domain(random.Random(774000 + i)), (4, 2), (3, 2)) for i in range(200)
+    ]
+    for generate, kind, sizes in (
+        (generate_bomb, "bomb", (4,)),
+        (generate_rings, "rings", (2,)),
+        (generate_sickness, "sickness", (3, 4)),
+    ):
+        for n in sizes:
+            bounds = benchmark_bounds(kind, n)
+            cases.append((generate(n), bounds, bounds))
+    found = [_searches(*case) for case in cases]
+
+    real = search._candidates
+
+    def with_waits(state, branch, concurrent, prune=False):
+        return real(state, branch, concurrent, prune) + [()]
+
+    monkeypatch.setattr(search, "_candidates", with_waits)
+    reference = [_searches(*case) for case in cases]
+    # equal plans have equal depth, so the shallowest horizon is unchanged
+    assert found == reference
+    assert sum(plans[0] is not None for plans in found) > 80
 
 
 # ---------------------------------------------------------------------------
