@@ -108,8 +108,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
                    help="write the full knowledge trace of the verified plan")
     p.add_argument("--format", choices=("tree", "atoms", "json-lines"),
                    default="tree", help="plan output format")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the root of the search")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -208,16 +206,15 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
         )
 
     started = time.perf_counter()
-    jobs = args.jobs if args.jobs and args.jobs > 1 else None
     if args.optimal:
         plan = find_optimal_plan(
             domain, steps, branches,
-            concurrent=args.concurrent, jobs=jobs, prune=args.optimize,
+            concurrent=args.concurrent, prune=args.optimize,
         )
     else:
         plan = find_plan(
             domain, steps, branches,
-            concurrent=args.concurrent, jobs=jobs, prune=args.optimize,
+            concurrent=args.concurrent, prune=args.optimize,
         )
     wall = time.perf_counter() - started
 

@@ -140,6 +140,30 @@ class Branch:
         return b
 
 
+_last_bit_tables: tuple = (None, ())
+
+
+def _bit_tables(domain: PlanningDomain) -> tuple[tuple, tuple, tuple]:
+    """Per literal bit: the interned literal, the prefix of its knowledge
+    atom, and the prefix of the atom saying no applied effect may have
+    produced it ("kNotInit(f," for f, "kNotTerm(f," for -f).
+
+    Only the most recent domain's tables are kept, compared by identity:
+    a search builds many initial states of one domain in a row.
+    """
+    global _last_bit_tables
+    if _last_bit_tables[0] is not domain:
+        lits = tuple(
+            Literal(f, positive) for f in domain.fluents for positive in (True, False)
+        )
+        _last_bit_tables = domain, (
+            lits,
+            tuple(f"knows({lit}," for lit in lits),
+            tuple(f"{kind}({f}," for f in domain.fluents for kind in ("kNotInit", "kNotTerm")),
+        )
+    return _last_bit_tables[1]
+
+
 class EpistemicState:
     """Immutable-by-convention knowledge state; step() returns a new one."""
 
@@ -163,6 +187,7 @@ class EpistemicState:
         self.checks = checks
 
         self._findex = {f: i for i, f in enumerate(domain.fluents)}
+        self._lits, self._knows_prefixes, self._unfired_prefixes = _bit_tables(domain)
         nbits = 2 * len(domain.fluents)
         self._even = sum(1 << b for b in range(0, nbits, 2))
         self._actions = {a.name: a for a in domain.actions}
@@ -188,9 +213,6 @@ class EpistemicState:
 
     def _bit(self, lit: Literal) -> int:
         return self._findex[lit.fluent] * 2 + (0 if lit.positive else 1)
-
-    def _lit_of_bit(self, bit: int) -> Literal:
-        return Literal(self.domain.fluents[bit // 2], bit % 2 == 0)
 
     def _mask(self, lits: Iterable[Literal]) -> int:
         mask = 0
@@ -234,10 +256,11 @@ class EpistemicState:
         if t1 is None:
             t1 = self.horizon
         mask = self.branches[branch].layers[t1][t]
+        lits = self._lits
         out = []
         while mask:
             low = mask & -mask
-            out.append(self._lit_of_bit(low.bit_length() - 1))
+            out.append(lits[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
 
@@ -380,6 +403,9 @@ class EpistemicState:
         clone.max_branches = self.max_branches
         clone.checks = self.checks
         clone._findex = self._findex
+        clone._lits = self._lits
+        clone._knows_prefixes = self._knows_prefixes
+        clone._unfired_prefixes = self._unfired_prefixes
         clone._even = self._even
         clone._actions = self._actions
         clone._exec_masks = self._exec_masks
@@ -521,15 +547,18 @@ class EpistemicState:
     def all_atoms(self) -> list[str]:
         """Every derived atom, rendered and sorted; the trace format."""
         out: list[str] = []
+        knows = self._knows_prefixes
+        unfired = self._unfired_prefixes
+        every_bit = (1 << len(unfired)) - 1
         for bid in sorted(self.branches):
             b = self.branches[bid]
             for t1, row in enumerate(b.layers):
                 for t, mask in enumerate(row):
                     m = mask
+                    where = f"{t},{t1},{bid})"
                     while m:
                         low = m & -m
-                        lit = self._lit_of_bit(low.bit_length() - 1)
-                        out.append(f"knows({lit},{t},{t1},{bid})")
+                        out.append(knows[low.bit_length() - 1] + where)
                         m ^= low
             for t, names in sorted(b.occurrences.items()):
                 sensing = False
@@ -548,13 +577,12 @@ class EpistemicState:
                 out.append(f"uBr({t},{bid})")
             for t1 in range(max(b.used_from, 0), self.horizon + 1):
                 for t in range(min(t1 + 1, len(b.applied))):
-                    fired = self._possibly_fired(b.rules[t], b.layers[t1][t])
-                    for f in self.domain.fluents:
-                        pos_bit = self._bit(Literal(f, True))
-                        if not fired >> pos_bit & 1:
-                            out.append(f"kNotInit({f},{t},{t1},{bid})")
-                        if not fired >> (pos_bit ^ 1) & 1:
-                            out.append(f"kNotTerm({f},{t},{t1},{bid})")
+                    m = every_bit & ~self._possibly_fired(b.rules[t], b.layers[t1][t])
+                    where = f"{t},{t1},{bid})"
+                    while m:
+                        low = m & -m
+                        out.append(unfired[low.bit_length() - 1] + where)
+                        m ^= low
         for ev in self.events:
             out.append(f"nextBr({ev.step},{ev.parent},{ev.child})")
         return sorted(out)
@@ -567,7 +595,7 @@ class EpistemicState:
                     m = mask
                     while m:
                         low = m & -m
-                        yield self._lit_of_bit(low.bit_length() - 1), t, t1, bid
+                        yield self._lits[low.bit_length() - 1], t, t1, bid
                         m ^= low
 
     # -- assertion-checked build ------------------------------------------------

@@ -1,30 +1,51 @@
 """Brute-force possible-worlds semantics, used as ground truth.
 
-A world is the frozenset of fluents true in it.  A belief state (sigma)
-is a set of worlds.  Physical actions map each world pointwise through
-add/delete effects whose conditions are evaluated on that world's
-pre-state; sensing filters sigma down to the worlds that agree with the
-observed value.
+A world is an int whose bit k is true when fluent k of the domain (in
+`domain.fluents` order) holds.  This encoding is the oracle's own: it
+shares neither code nor bit layout with the engine's two-bits-per-literal
+rows.  A belief state (sigma) is a set of worlds.  Physical actions map
+each world pointwise through add/delete effects whose conditions are
+evaluated on that world's pre-state; sensing filters sigma down to the
+worlds that agree with the observed value.
+
+A domain is compiled once, and kept until a query names another
+domain.  Every effect proposition becomes a (positive-condition mask,
+negative-condition mask, effect bit, sign) row.  The initial worlds are enumerated directly instead of filtered
+out of all 2^n assignments: the init literals fix their fluents, each
+oneof group picks exactly one member (making its other literals false),
+and the fluents neither mentions are free, so the worlds are the
+consistent oneof choices times every assignment of the free fluents.
+The capacity cap counts those initial worlds (MAX_ORACLE_WORLDS), not
+fluents: sickness(n) has 2n fluents but only n worlds.
 
 Queries use hindsight semantics: "was l true at time t" is answered
 from the initial worlds that survive *all* observations along the whole
-trace, evolved forward t steps.  This is deliberately exponential and
-simple — it exists to cross-check the polynomial engine, so it shares
-no inference code with it.
+trace, evolved forward t steps.  soundness_check runs each initial
+world through a branch's trace once and folds the survivors at every
+time point into an all-true mask (AND) and an any-true mask (OR), so
+each claimed literal is one bit test.
+
+The public functions keep worlds as frozensets of fluent names; they
+encode their arguments, run the int core and decode the result.  All
+of it is deliberately exponential and simple — it exists to
+cross-check the polynomial engine, so it shares no inference code with
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from hindsight.model import Fluent, Literal, PlanningDomain
+from hindsight.model import Fluent, Literal, PlanningDomain, complement
 
 if TYPE_CHECKING:  # pragma: no cover
     from hindsight.engine import EpistemicState
 
-# 2**16 worlds is the most the exhaustive enumeration will attempt.
+# 2**16 initial worlds is the most the exhaustive enumeration will attempt.
 MAX_ORACLE_FLUENTS = 16
+MAX_ORACLE_WORLDS = 1 << MAX_ORACLE_FLUENTS
 
 WorldState = frozenset
 
@@ -46,30 +67,184 @@ class TraceStep:
     observations: tuple[tuple[Fluent, bool], ...] = ()
 
 
-def _holds(literal: Literal, world: WorldState) -> bool:
-    return (literal.fluent in world) == literal.positive
+# A compiled trace step: (observed fluents, their observed values, effect
+# rows).  A step that observes one fluent both ways gets values -1, which
+# no world matches.
+_Step = tuple[int, int, tuple[tuple[int, int, int, bool], ...]]
+
+
+def _result(world: int, rules: tuple) -> int:
+    """Pointwise transition: conditions on the pre-state, effects folded.
+
+    Simultaneous actions all read the same pre-state; their add and
+    delete sets are unioned, deletes applied last.
+    """
+    adds = dels = 0
+    for need, forbid, bit, positive in rules:
+        if world & need == need and not world & forbid:
+            if positive:
+                adds |= bit
+            else:
+                dels |= bit
+    return (world | adds) & ~dels
+
+
+def _history(world: int, trace: Sequence[_Step]) -> list[int] | None:
+    """The world's states at times 0..len(trace), or None when some
+    observation along the trace rules it out."""
+    history = [world]
+    for seen, value, rules in trace:
+        if world & seen != value:
+            return None
+        world = _result(world, rules)
+        history.append(world)
+    return history
+
+
+class _Worlds:
+    """A domain compiled to int worlds."""
+
+    def __init__(self, domain: PlanningDomain):
+        self.domain = domain
+        self.fluents = domain.fluents
+        self.index = {f: k for k, f in enumerate(domain.fluents)}
+        self.full = (1 << len(domain.fluents)) - 1
+        self.rules = {
+            a.name: tuple(
+                self._masks(ep.conditions)
+                + (1 << self.index[ep.effect.fluent], ep.effect.positive)
+                for ep in a.effect_props
+            )
+            for a in domain.actions
+        }
+
+    def _masks(self, literals: Iterable[Literal]) -> tuple[int, int]:
+        """(mask of the positive literals' fluents, mask of the negative ones)."""
+        need = forbid = 0
+        for lit in literals:
+            if lit.positive:
+                need |= 1 << self.index[lit.fluent]
+            else:
+                forbid |= 1 << self.index[lit.fluent]
+        return need, forbid
+
+    def _assignment(self, literals: Iterable[Literal]) -> tuple[int, int] | None:
+        """(fixed fluents, their values) making every literal true, or
+        None when two of the literals contradict each other."""
+        need, forbid = self._masks(literals)
+        if need & forbid:
+            return None
+        return need | forbid, need
+
+    @cached_property
+    def initial(self) -> tuple[int, ...]:
+        """Every world consistent with the init literals and oneof groups.
+
+        Raises OracleCapacityError before enumerating more than
+        MAX_ORACLE_WORLDS worlds.
+        """
+        base = self._assignment(self.domain.init)
+        if base is None:
+            return ()
+        groups = []
+        fixed = base[0]
+        for oo in self.domain.oneofs:
+            choices = []
+            for i, lit in enumerate(oo.literals):
+                others = [complement(o) for j, o in enumerate(oo.literals) if j != i]
+                choice = self._assignment([lit, *others])
+                if choice is not None:
+                    choices.append(choice)
+            groups.append(choices)
+            need, forbid = self._masks(oo.literals)
+            fixed |= need | forbid
+        free = self.full & ~fixed
+        per_choice = 1 << bin(free).count("1")
+        values: list[int] = []
+        for _fixed, value in _consistent_choices(base, groups):
+            if (len(values) + 1) * per_choice > MAX_ORACLE_WORLDS:
+                raise OracleCapacityError(
+                    f"more than {MAX_ORACLE_WORLDS} initial worlds exceeds the "
+                    f"2**{MAX_ORACLE_FLUENTS}-world cap for exhaustive enumeration"
+                )
+            values.append(value)
+        return tuple(value | sub for value in values for sub in _submasks(free))
+
+    def encode(self, world: Iterable[Fluent]) -> int:
+        return sum(1 << self.index[f] for f in world)
+
+    def decode(self, world: int) -> WorldState:
+        return frozenset(f for k, f in enumerate(self.fluents) if world >> k & 1)
+
+    def step_rules(self, actions: Iterable[str]) -> tuple:
+        return tuple(r for name in actions for r in self.rules[name])
+
+    def compile_step(self, step: TraceStep) -> _Step:
+        seen = value = 0
+        for fluent, observed in step.observations:
+            bit = 1 << self.index[fluent]
+            if seen & bit and bool(value & bit) != observed:
+                return seen, -1, ()
+            seen |= bit
+            if observed:
+                value |= bit
+        return seen, value, self.step_rules(step.actions)
+
+    def histories(self, steps: Iterable[TraceStep]) -> list[list[int]]:
+        """The history of every initial world that survives the trace."""
+        trace = [self.compile_step(step) for step in steps]
+        out = []
+        for w0 in self.initial:
+            history = _history(w0, trace)
+            if history is not None:
+                out.append(history)
+        return out
+
+
+_last: _Worlds | None = None
+
+
+def _compiled(domain: PlanningDomain) -> _Worlds:
+    """The compiled form of `domain`.
+
+    Only the most recently used domain is kept, compared by identity:
+    callers check many states of one domain in a row, and a cache keyed
+    by every domain seen would keep them all alive.
+    """
+    global _last
+    if _last is None or _last.domain is not domain:
+        _last = _Worlds(domain)
+    return _last
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every int whose set bits are a subset of `mask`'s, 0 first."""
+    sub = 0
+    while True:
+        yield sub
+        sub = (sub - mask) & mask
+        if not sub:
+            return
+
+
+def _consistent_choices(
+    assignment: tuple[int, int], groups: Sequence[Sequence[tuple[int, int]]]
+) -> Iterator[tuple[int, int]]:
+    """Every way of extending `assignment` by one choice per oneof group
+    without contradicting it or an earlier choice."""
+    if not groups:
+        yield assignment
+        return
+    fixed, value = assignment
+    for g_fixed, g_value in groups[0]:
+        if not (value ^ g_value) & fixed & g_fixed:
+            yield from _consistent_choices((fixed | g_fixed, value | g_value), groups[1:])
 
 
 def initial_sigma(domain: PlanningDomain) -> frozenset:
     """All worlds consistent with the init literals and oneof constraints."""
-    fluents = domain.fluents
-    if len(fluents) > MAX_ORACLE_FLUENTS:
-        raise OracleCapacityError(
-            f"{len(fluents)} fluents exceeds the {MAX_ORACLE_FLUENTS}-fluent "
-            "cap for exhaustive world enumeration"
-        )
-    worlds = []
-    for bits in range(1 << len(fluents)):
-        world = frozenset(f for k, f in enumerate(fluents) if bits >> k & 1)
-        if not all(_holds(lit, world) for lit in domain.init):
-            continue
-        if not all(
-            sum(_holds(lit, world) for lit in oo.literals) == 1
-            for oo in domain.oneofs
-        ):
-            continue
-        worlds.append(world)
-    return frozenset(worlds)
+    worlds = _compiled(domain)
+    return frozenset(map(worlds.decode, worlds.initial))
 
 
 def result_state(domain: PlanningDomain, world: WorldState, actions: Iterable[str]) -> WorldState:
@@ -78,21 +253,19 @@ def result_state(domain: PlanningDomain, world: WorldState, actions: Iterable[st
     Simultaneous actions all read the same pre-state; their add and
     delete sets are unioned, deletes applied last.
     """
-    adds: set[Fluent] = set()
-    dels: set[Fluent] = set()
-    for name in actions:
-        for ep in domain.action(name).effect_props:
-            if all(_holds(c, world) for c in ep.conditions):
-                (adds if ep.effect.positive else dels).add(ep.effect.fluent)
-    return frozenset((world | adds) - dels)
+    worlds = _compiled(domain)
+    return worlds.decode(_result(worlds.encode(world), worlds.step_rules(actions)))
 
 
 def apply_step(domain: PlanningDomain, sigma: Iterable, step: TraceStep) -> frozenset:
     """One trace step over a belief state: observation filter, then effects."""
+    worlds = _compiled(domain)
+    trace = (worlds.compile_step(step),)
     out = []
     for world in sigma:
-        if all((f in world) == value for f, value in step.observations):
-            out.append(result_state(domain, world, step.actions))
+        history = _history(worlds.encode(world), trace)
+        if history is not None:
+            out.append(worlds.decode(history[1]))
     return frozenset(out)
 
 
@@ -100,7 +273,10 @@ def entails(sigma: frozenset, literal: Literal) -> bool:
     """True when the literal holds in every world.  Empty sigma is an error."""
     if not sigma:
         raise ValueError("entailment query against an empty belief state")
-    return all(_holds(literal, world) for world in sigma)
+    # the AND and the OR of the worlds, over the literal's fluent alone
+    every = all(literal.fluent in world for world in sigma)
+    some = any(literal.fluent in world for world in sigma)
+    return every if literal.positive else not some
 
 
 def tqs_timeline(domain: PlanningDomain, steps: tuple) -> tuple:
@@ -111,22 +287,11 @@ def tqs_timeline(domain: PlanningDomain, steps: tuple) -> tuple:
     sharpens what is known about earlier times.  All elements are empty
     when the observations contradict each other.
     """
-    n = len(steps)
-    timelines = []
-    for w0 in initial_sigma(domain):
-        history = [w0]
-        world = w0
-        alive = True
-        for step in steps:
-            if not all((f in world) == value for f, value in step.observations):
-                alive = False
-                break
-            world = result_state(domain, world, step.actions)
-            history.append(world)
-        if alive:
-            timelines.append(history)
+    worlds = _compiled(domain)
+    histories = worlds.histories(steps)
     return tuple(
-        frozenset(history[t] for history in timelines) for t in range(n + 1)
+        frozenset(worlds.decode(history[t]) for history in histories)
+        for t in range(len(steps) + 1)
     )
 
 
@@ -194,22 +359,31 @@ def soundness_check(state: EpistemicState) -> SoundnessReport:
     """
     if state.inconsistent:
         raise ValueError("cannot soundness-check an inconsistent state")
-    domain = state.domain
+    worlds = _compiled(state.domain)
+    index = worlds.index
     checked = 0
     violations: list[str] = []
     vacuous: list[int] = []
     for br in sorted(state.branches):
-        steps = branch_trace(state, br)
-        timeline = tqs_timeline(domain, steps)
-        if not timeline[0]:
+        histories = worlds.histories(branch_trace(state, br))
+        if not histories:
             vacuous.append(br)
             continue
         for t in range(state.horizon + 1):
-            for lit in sorted(state.known_literals(br, t)):
-                checked += 1
-                if not entails(timeline[t], lit):
-                    violations.append(
-                        f"branch {br}: claims {lit} at time {t}, "
-                        f"but worlds {sorted(map(sorted, timeline[t]))} disagree"
-                    )
+            every, some = worlds.full, 0
+            for history in histories:
+                every &= history[t]
+                some |= history[t]
+            claims = state.known_literals(br, t)
+            checked += len(claims)
+            wrong = [
+                lit for lit in claims
+                if not (every if lit.positive else ~some) >> index[lit.fluent] & 1
+            ]
+            for lit in sorted(wrong):
+                at_t = {history[t] for history in histories}
+                violations.append(
+                    f"branch {br}: claims {lit} at time {t}, "
+                    f"but worlds {sorted(sorted(worlds.decode(w)) for w in at_t)} disagree"
+                )
     return SoundnessReport(checked, tuple(violations), tuple(vacuous))

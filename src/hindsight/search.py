@@ -19,7 +19,6 @@ from any other source.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, Union
@@ -572,7 +571,6 @@ def _make_solver(domain: PlanningDomain, concurrent: bool, prune: bool = False) 
             ):
                 yield Step(acts, None, None, sub, None), cost + sub_cost, sub_splits
 
-    solve.expand = expand  # reused by the parallel root fan-out
     return solve
 
 
@@ -583,65 +581,12 @@ def _first_plan_at_horizon(
     concurrent: bool,
     checks: bool | None,
     occ_budget: int | None = None,
-    jobs: int | None = None,
     prune: bool = False,
 ) -> ConditionalPlan | None:
     state0 = initial_state(domain, horizon, max_branches, checks)
     solve = _make_solver(domain, concurrent, prune)
-    if jobs and jobs > 1 and horizon > 0:
-        required = domain.goal_literals("strong") + domain.goal_literals("weak")
-        if all(state0.knows(lit, 0, 0) for lit in required):
-            return Leaf()
-        return _parallel_root(
-            domain, horizon, max_branches, concurrent, checks, occ_budget, jobs, prune
-        )
     for plan, _cost, _splits in solve(state0, 0, 0, True, occ_budget, max_branches):
         return plan
-    return None
-
-
-def _parallel_worker(args) -> ConditionalPlan | None:
-    domain, horizon, max_branches, concurrent, checks, occ_budget, index, prune = args
-    state0 = initial_state(domain, horizon, max_branches, checks)
-    solve = _make_solver(domain, concurrent, prune)
-    acts = _candidates(state0, 0, concurrent, prune)[index]
-    for plan, _cost, _splits in solve.expand(
-        state0, 0, 0, acts, True, occ_budget, max_branches
-    ):
-        return plan
-    return None
-
-
-def _parallel_root(
-    domain: PlanningDomain,
-    horizon: int,
-    max_branches: int,
-    concurrent: bool,
-    checks: bool | None,
-    occ_budget: int | None,
-    jobs: int,
-    prune: bool = False,
-) -> ConditionalPlan | None:
-    """Fan the root candidates out to worker processes; first success in
-    candidate order wins, so the result matches the serial search."""
-    state0 = initial_state(domain, horizon, max_branches, checks)
-    count = len(_candidates(state0, 0, concurrent, prune))
-    if count == 0:
-        return None
-    args = [
-        (domain, horizon, max_branches, concurrent, checks, occ_budget, i, prune)
-        for i in range(count)
-    ]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_parallel_worker, a) for a in args]
-        try:
-            for future in futures:
-                plan = future.result()
-                if plan is not None:
-                    return plan
-        finally:
-            for future in futures:
-                future.cancel()
     return None
 
 
@@ -653,7 +598,6 @@ def find_plan(
     concurrent: bool = False,
     deepen: bool = True,
     checks: bool | None = None,
-    jobs: int | None = None,
     prune: bool = False,
 ) -> ConditionalPlan | None:
     """First plan found, at the smallest workable horizon.
@@ -666,7 +610,7 @@ def find_plan(
     horizons = range(max_steps + 1) if deepen else [max_steps]
     for horizon in horizons:
         plan = _first_plan_at_horizon(
-            domain, horizon, max_branches, concurrent, checks, jobs=jobs, prune=prune
+            domain, horizon, max_branches, concurrent, checks, prune=prune
         )
         if plan is not None:
             report = verify_plan(domain, plan, max_steps, max_branches, checks)
@@ -685,7 +629,6 @@ def find_optimal_plan(
     *,
     concurrent: bool = False,
     checks: bool | None = None,
-    jobs: int | None = None,
     prune: bool = False,
 ) -> ConditionalPlan | None:
     """Plan with the fewest action occurrences within the budgets.
@@ -705,7 +648,6 @@ def find_optimal_plan(
                 concurrent,
                 checks,
                 occ_budget=budget,
-                jobs=jobs,
                 prune=prune,
             )
             if plan is not None:

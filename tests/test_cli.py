@@ -140,15 +140,6 @@ def test_solve_trace_writes_knowledge_atoms(capsys, tmp_path):
     assert lines == sorted(lines)
 
 
-def test_solve_with_parallel_root_matches_serial_output(capsys):
-    _, serial, _ = run(capsys, "solve", DOOR, "--max-steps", "4",
-                       "--max-branches", "1", "--format", "atoms")
-    _, parallel, _ = run(capsys, "solve", DOOR, "--max-steps", "4",
-                         "--max-branches", "1", "--format", "atoms",
-                         "--jobs", "2")
-    assert parallel == serial
-
-
 # -- bench --------------------------------------------------------------------
 
 

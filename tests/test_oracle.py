@@ -6,8 +6,17 @@ they are independent of any engine code.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from hindsight.engine import initial_state
+from hindsight.generators import (
+    benchmark_bounds,
+    generate_bomb,
+    generate_rings,
+    generate_sickness,
+)
 from hindsight.model import (
     Action,
     EffectProposition,
@@ -25,6 +34,7 @@ from hindsight.oracle import (
     entails,
     initial_sigma,
     result_state,
+    soundness_check,
     tqs_entails,
     tqs_timeline,
 )
@@ -193,3 +203,133 @@ def test_tqs_rejects_out_of_range_query_times():
     with pytest.raises(ValueError):
         tqs_entails(d, (), pos("alive"), 1)
     assert tqs_entails(d, (), pos("alive"), 0)
+
+
+def _brute_force_sigma(domain: PlanningDomain) -> frozenset:
+    """Filter all 2^n fluent assignments by the init and oneof constraints."""
+    worlds = set()
+    for bits in range(1 << len(domain.fluents)):
+        world = frozenset(f for k, f in enumerate(domain.fluents) if bits >> k & 1)
+
+        def holds(lit):
+            return (lit.fluent in world) == lit.positive
+
+        if all(map(holds, domain.init)) and all(
+            sum(map(holds, oo.literals)) == 1 for oo in domain.oneofs
+        ):
+            worlds.add(world)
+    return frozenset(worlds)
+
+
+def _tangled_oneof_domains() -> list[PlanningDomain]:
+    """Oneof groups with negative members, members fixed by init, groups
+    sharing fluents, and choices that contradict each other."""
+    fluents = ("a", "b", "c", "d")
+    return [
+        PlanningDomain(fluents=fluents, oneofs=(OneofConstraint((neg("a"), pos("b"), pos("c"))),)),
+        PlanningDomain(
+            fluents=fluents,
+            init=(pos("b"),),
+            oneofs=(OneofConstraint((pos("a"), pos("b"), neg("c"))),),
+        ),
+        PlanningDomain(
+            fluents=fluents,
+            oneofs=(
+                OneofConstraint((pos("a"), pos("b"))),
+                OneofConstraint((pos("b"), neg("c"), pos("d"))),
+            ),
+        ),
+        # choosing b makes both a and -a false: only a/-a choices remain
+        PlanningDomain(fluents=fluents, oneofs=(OneofConstraint((pos("a"), neg("a"), pos("b"))),)),
+        # the second group cannot be met once the first picks a or b
+        PlanningDomain(
+            fluents=fluents,
+            oneofs=(
+                OneofConstraint((pos("a"), pos("b"))),
+                OneofConstraint((neg("a"), neg("b"))),
+                OneofConstraint((pos("c"), pos("d"))),
+            ),
+        ),
+        PlanningDomain(fluents=fluents, init=(pos("a"), neg("a"))),
+    ]
+
+
+def test_enumerated_initial_worlds_equal_a_brute_force_filter():
+    from test_acceptance import _random_domain
+
+    domains = [_random_domain(random.Random(774000 + i)) for i in range(1000)]
+    domains += [generate_bomb(n) for n in (1, 2, 5, 12)]
+    domains += [generate_rings(2)]
+    domains += [generate_sickness(n) for n in (2, 4, 6)]
+    domains += _tangled_oneof_domains()
+    for domain in domains:
+        assert len(domain.fluents) <= 12
+        assert initial_sigma(domain) == _brute_force_sigma(domain), domain
+
+
+@pytest.mark.parametrize(
+    "family, n, worlds",
+    [("sickness", 9, 9), ("rings", 4, 256)],
+    ids=["sickness(9)", "rings(4)"],
+)
+def test_cap_counts_initial_worlds_not_fluents(family, n, worlds):
+    domain = {"sickness": generate_sickness, "rings": generate_rings}[family](n)
+    assert len(domain.fluents) > MAX_ORACLE_FLUENTS
+    assert len(initial_sigma(domain)) == worlds
+    report = soundness_check(initial_state(domain, *benchmark_bounds(family, n)))
+    assert report.ok
+    assert report.checked > 0
+
+
+def test_cap_is_reached_at_2_to_the_16_initial_worlds():
+    def pairs(n):
+        fluents = tuple(f"f{i}" for i in range(2 * n))
+        groups = tuple(
+            OneofConstraint((pos(fluents[2 * i]), pos(fluents[2 * i + 1]))) for i in range(n)
+        )
+        return PlanningDomain(fluents=fluents, oneofs=groups)
+
+    assert len(initial_sigma(pairs(MAX_ORACLE_FLUENTS))) == 2**MAX_ORACLE_FLUENTS
+    with pytest.raises(OracleCapacityError):
+        initial_sigma(pairs(MAX_ORACLE_FLUENTS + 1))
+
+
+def coin_domain() -> PlanningDomain:
+    """Four tosses, one per case of d and e, so heads is certain after
+    all four; a look reads it.
+
+    Every toss has two unknown conditions, so the engine can neither
+    fire one nor blame one, and a look splits off a tails branch that
+    no world realises.
+    """
+    cases = [(pos("d"), pos("e")), (pos("d"), neg("e")), (neg("d"), pos("e")), (neg("d"), neg("e"))]
+    return PlanningDomain(
+        fluents=("d", "e", "heads"),
+        actions=tuple(
+            Action(f"toss{i}", effect_props=(EffectProposition(f"toss{i}_1", pos("heads"), case),))
+            for i, case in enumerate(cases, start=1)
+        )
+        + (Action("look", knowledge_props=(KnowledgeProposition("heads"),)),),
+        init=(neg("heads"),),
+    )
+
+
+def test_soundness_check_reports_a_false_claim_and_a_vacuous_branch():
+    state = initial_state(coin_domain(), 5, 1)
+    for action in ("toss1", "toss2", "toss3", "toss4", "look"):
+        state = state.step({0: (action,)})
+    assert sorted(state.branches) == [0, 1] and not state.inconsistent
+    honest = soundness_check(state)
+    assert honest.ok
+    assert honest.vacuous_branches == (1,)
+
+    # branch 0 now claims d held initially; d is free in every world
+    layer = state.branches[0].layers[state.horizon]
+    layer[0] |= 1 << state._bit(pos("d"))
+    report = soundness_check(state)
+    assert report.checked == honest.checked + 1
+    assert report.violations == (
+        "branch 0: claims d at time 0, "
+        "but worlds [[], ['d'], ['d', 'e'], ['e']] disagree",
+    )
+    assert report.vacuous_branches == (1,)

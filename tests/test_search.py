@@ -155,11 +155,6 @@ def test_trivial_goal_yields_the_empty_plan():
     assert verify_plan(trivial, plan, 2, 1).ok
 
 
-def test_parallel_root_search_agrees_with_the_serial_result():
-    plan = find_plan(door_domain(), max_steps=4, max_branches=1, jobs=2)
-    assert plan == DOOR_PLAN
-
-
 def test_concurrent_shot_while_listening_is_found_and_sound():
     d = yale_goal_domain()
     plan = find_plan(d, max_steps=1, max_branches=1, concurrent=True, checks=True)
