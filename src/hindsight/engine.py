@@ -7,11 +7,14 @@ sensing can sharpen what is known about the past (postdiction), never
 retract it.  Literals are interned as bit positions so a layer is one
 int per time point and the closure rules become mask arithmetic.
 
-Each step advances every branch simultaneously: record occurrences,
-check executability against current knowledge, split a branch when it
-senses a fluent it does not know, then close the new layer under the
-inference rules, each of which relates one step pair (t, t+1) or, for
-the oneof rule, time point 0 alone:
+A branch's future depends only on its own newest layer and the effects
+applied on its history, so one branch is one immutable `Timeline`.
+`Timeline.step` is the one place that validates occurrences, checks
+executability against current knowledge and interference between
+simultaneous effects, resolves sensing (a fluent it does not know
+splits the timeline into a true and a false successor), and closes the
+new layer under the inference rules, each of which relates one step
+pair (t, t+1) or, for the oneof rule, time point 0 alone:
 
 * causation: an applied effect whose conditions are all known produces
   knowledge of the effect at the next time point;
@@ -24,13 +27,17 @@ the oneof rule, time point 0 alone:
 * initial-state exclusivity: "exactly one of" constraints eliminate
   and conclude alternatives as their siblings are ruled in or out.
 
-A branch split copies the parent's newest layer and its applied-effect
-history, so the child re-evaluates the shared past under its own
-sensing outcome.  Branches never communicate after the split.
+Both sides of a split start from the parent's newest layer and its
+applied-effect history, so each re-evaluates the shared past under its
+own sensing outcome.  Branches never communicate after the split.  The
+search steps timelines alone; `EpistemicState` is the multi-branch view
+(every layer, occurrences, observations, branch numbering) that replay,
+the oracle and traces read, and its `step` steps each branch's timeline.
 
-Every effect proposition is compiled once per domain into masks over
-the literal bits: its conditions, their complements (the falsifiers)
-and its effect.  "Possibly fired" is then `row & falsifier == 0`,
+A state's domain is compiled once into a `CompiledDomain` that all its
+timelines share.  Each effect proposition becomes masks over the
+literal bits: its conditions, their complements (the falsifiers) and
+its effect.  "Possibly fired" is then `row & falsifier == 0`,
 causation is `row & cond == cond`, positive postdiction adds `cond`,
 and negative postdiction adds the complement of the one condition not
 yet known to hold, or of every condition when all are known.
@@ -95,49 +102,69 @@ class BranchEvent:
     fluent: str
 
 
-class Branch:
-    """Per-branch bookkeeping.  Internal, but read by the cross-checker."""
+# -- per-domain tables ---------------------------------------------------------
 
-    __slots__ = (
-        "parent",
-        "created_at",
-        "layers",
-        "applied",
-        "rules",
-        "occurrences",
-        "observations",
-        "sensing_results",
-    )
 
-    def __init__(self, parent: int | None, created_at: int):
-        self.parent = parent
-        self.created_at = created_at
-        # layers[t1][t]: bitmask of literals known about time t after t1 steps
-        self.layers: list[list[int]] = []
-        # applied[t]: effect propositions of the actions that occurred at t
-        self.applied: list[tuple[EffectProposition, ...]] = []
-        # rules[t]: the compiled masks of applied[t], in the same order
-        self.rules: list[tuple[tuple[int, int, int, int, int], ...]] = []
-        self.occurrences: dict[int, tuple[str, ...]] = {}
-        # observations[t]: (fluent, value) this timeline saw at step t
-        self.observations: dict[int, tuple[str, bool]] = {}
-        # sensing_results[t]: like observations, but only when the engine
-        # derived knowledge from the sensing (a known-false look derives none)
-        self.sensing_results: dict[int, tuple[str, bool]] = {}
+def _check_interference(
+    eps: tuple[EffectProposition, ...], step: int, branch: int
+) -> None:
+    """Reject effect pairs that could clash within one step."""
+    for i, ep in enumerate(eps):
+        for ep1 in eps[i + 1 :]:
+            if ep.effect == ep1.effect:
+                raise ConcurrencyError(
+                    f"'{ep.id}' and '{ep1.id}' both produce {ep.effect} "
+                    f"at step {step} on branch {branch}"
+                )
+            if ep.effect.fluent == ep1.effect.fluent:
+                # opposite signs; tolerated only when their conditions
+                # are mutually exclusive on some fluent
+                down = ep if not ep.effect.positive else ep1
+                up = ep1 if down is ep else ep
+                exclusive = any(
+                    Literal(c.fluent, True) in down.conditions
+                    and Literal(c.fluent, False) in up.conditions
+                    for c in down.conditions
+                )
+                if not exclusive:
+                    raise ConcurrencyError(
+                        f"'{ep.id}' and '{ep1.id}' clash on "
+                        f"'{ep.effect.fluent}' at step {step} on branch {branch}"
+                    )
 
-    @property
-    def used_from(self) -> int:
-        return self.created_at + 1
 
-    def copy(self) -> Branch:
-        b = Branch(self.parent, self.created_at)
-        b.layers = [list(row) for row in self.layers]
-        b.applied = list(self.applied)
-        b.rules = list(self.rules)
-        b.occurrences = dict(self.occurrences)
-        b.observations = dict(self.observations)
-        b.sensing_results = dict(self.sensing_results)
-        return b
+def _possibly_fired(rules: tuple, row: int) -> int:
+    """Mask of effect literals some applied proposition of a step may
+    have produced, judging its conditions by knowledge `row`."""
+    mask = 0
+    for _cond, falsifier, eff, _effc, _lone in rules:
+        if not row & falsifier:
+            mask |= eff
+    return mask
+
+
+class CompiledAction:
+    """One action's masks: what must be known to run it (`need`), its
+    compiled effect rules, the literals it produces (`effects`), the bit
+    of the fluent it senses (-1 for a physical action), and whether its
+    own effects pass the interference check (`clean`)."""
+
+    __slots__ = ("action", "name", "need", "rules", "effects", "sensed", "clean")
+
+    def __init__(self, action: Action, need: int, rules: tuple, sensed: int):
+        self.action = action
+        self.name = action.name
+        self.need = need
+        self.rules = rules
+        self.effects = 0
+        for _cond, _falsifier, eff, _effc, _lone in rules:
+            self.effects |= eff
+        self.sensed = sensed
+        try:
+            _check_interference(action.effect_props, 0, 0)
+            self.clean = True
+        except ConcurrencyError:
+            self.clean = False
 
 
 _last_bit_tables: tuple = (None, ())
@@ -164,65 +191,45 @@ def _bit_tables(domain: PlanningDomain) -> tuple[tuple, tuple, tuple]:
     return _last_bit_tables[1]
 
 
-class EpistemicState:
-    """Immutable-by-convention knowledge state; step() returns a new one."""
+class CompiledDomain:
+    """A validated domain's bit layout, action masks and closure.
 
-    def __init__(
-        self,
-        domain: PlanningDomain,
-        max_steps: int,
-        max_branches: int,
-        checks: bool | None = None,
-    ):
-        report = validate_domain(domain)
-        if not report.ok:
-            raise EngineError("invalid domain: " + "; ".join(report.violations))
-        if max_steps < 0 or max_branches < 0:
-            raise EngineError("budgets must be non-negative")
+    Bit 2k is fluent k true, bit 2k+1 fluent k false.
+    """
+
+    def __init__(self, domain: PlanningDomain):
         self.domain = domain
-        self.max_steps = max_steps
-        self.max_branches = max_branches
-        if checks is None:
-            checks = os.environ.get(CHECKS_ENV_VAR, "") not in ("", "0")
-        self.checks = checks
-
-        self._findex = {f: i for i, f in enumerate(domain.fluents)}
-        self._lits, self._knows_prefixes, self._unfired_prefixes = _bit_tables(domain)
-        nbits = 2 * len(domain.fluents)
-        self._even = sum(1 << b for b in range(0, nbits, 2))
-        self._actions = {a.name: a for a in domain.actions}
-        self._exec_masks = {a.name: self._mask(a.executability) for a in domain.actions}
-        self._action_rules = {
-            a.name: tuple(self._compile(ep) for ep in a.effect_props)
+        self.fluents = domain.fluents
+        self.findex = {f: i for i, f in enumerate(domain.fluents)}
+        self.lits, self.knows_prefixes, self.unfired_prefixes = _bit_tables(domain)
+        self.even = sum(1 << b for b in range(0, 2 * len(domain.fluents), 2))
+        self.init = self.mask(domain.init)
+        self.actions = {
+            a.name: CompiledAction(
+                a,
+                self.mask(a.executability),
+                tuple(self._compile(ep) for ep in a.effect_props),
+                2 * self.findex[a.knowledge_props[0].fluent] if a.is_sensing else -1,
+            )
             for a in domain.actions
         }
-        self._oneofs = tuple(self._compile_oneof(oo.literals) for oo in domain.oneofs)
+        # the actions in name order, the order a search tries them in
+        self.menu = tuple(self.actions[name] for name in sorted(self.actions))
+        self.oneofs = tuple(self._compile_oneof(oo.literals) for oo in domain.oneofs)
 
-        self.horizon = 0
-        self.inconsistent = False
-        self.events: tuple[BranchEvent, ...] = ()
-        root = Branch(parent=None, created_at=-1)
-        root.layers = [[self._mask(domain.init)]]
-        self.branches: dict[int, Branch] = {0: root}
-        self._close_layer(root, 0, (0,))
-        self.inconsistent = self._scan_inconsistent()
-        if self.checks:
-            self._run_checks(previous=None)
+    def bit(self, lit: Literal) -> int:
+        return self.findex[lit.fluent] * 2 + (0 if lit.positive else 1)
 
-    # -- literal interning ---------------------------------------------------
-
-    def _bit(self, lit: Literal) -> int:
-        return self._findex[lit.fluent] * 2 + (0 if lit.positive else 1)
-
-    def _mask(self, lits: Iterable[Literal]) -> int:
+    def mask(self, lits: Iterable[Literal]) -> int:
         mask = 0
         for lit in lits:
-            mask |= 1 << self._bit(lit)
+            mask |= 1 << self.bit(lit)
         return mask
 
-    def _complement_mask(self, mask: int) -> int:
+    def complement(self, mask: int) -> int:
         """Swap each literal bit with its complement's bit."""
-        return ((mask & self._even) << 1) | ((mask >> 1) & self._even)
+        even = self.even
+        return ((mask & even) << 1) | ((mask >> 1) & even)
 
     def _compile(self, ep: EffectProposition) -> tuple[int, int, int, int, int]:
         """(cond, falsifier, effect, effect complement, lone) masks of one
@@ -230,240 +237,28 @@ class EpistemicState:
         negative postdiction never blames a condition that is repeated."""
         cond = lone = 0
         for c in ep.conditions:
-            bit = 1 << self._bit(c)
+            bit = 1 << self.bit(c)
             lone = (lone | bit) & ~(cond & bit)
             cond |= bit
-        eff = 1 << self._bit(ep.effect)
-        return cond, self._complement_mask(cond), eff, self._complement_mask(eff), lone
+        eff = 1 << self.bit(ep.effect)
+        return cond, self.complement(cond), eff, self.complement(eff), lone
 
     def _compile_oneof(self, literals: Sequence[Literal]) -> tuple:
         """(mask of the literals' complements, ((bit, complement bit), ...))."""
-        pairs = tuple((1 << self._bit(lit), 1 << (self._bit(lit) ^ 1)) for lit in literals)
+        pairs = tuple((1 << self.bit(lit), 1 << (self.bit(lit) ^ 1)) for lit in literals)
         return sum(nb for _pb, nb in pairs), pairs
-
-    # -- queries ---------------------------------------------------------------
-
-    def knows(self, lit: Literal, t: int, branch: int, t1: int | None = None) -> bool:
-        """Is `lit` known to hold at time t, judged after t1 steps?"""
-        if t1 is None:
-            t1 = self.horizon
-        if not 0 <= t <= t1 <= self.horizon:
-            return False
-        return bool(self.branches[branch].layers[t1][t] >> self._bit(lit) & 1)
-
-    def known_literals(self, branch: int, t: int, t1: int | None = None) -> frozenset:
-        """Every literal known about time t, judged after t1 steps."""
-        if t1 is None:
-            t1 = self.horizon
-        mask = self.branches[branch].layers[t1][t]
-        lits = self._lits
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(lits[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
-
-    def sensing_outcome(self, branch: int, fluent: str) -> bool | None:
-        """Current knowledge of a fluent at the horizon: True/False/None."""
-        h = self.horizon
-        if self.knows(Literal(fluent, True), h, branch, h):
-            return True
-        if self.knows(Literal(fluent, False), h, branch, h):
-            return False
-        return None
-
-    def action(self, name: str) -> Action:
-        """The domain's action called `name`; KeyError when there is none."""
-        return self._actions[name]
-
-    def is_executable(self, branch: int, action_name: str) -> bool:
-        need = self._exec_masks[action_name]
-        h = self.horizon
-        return self.branches[branch].layers[h][h] & need == need
-
-    # -- stepping ---------------------------------------------------------------
-
-    def step(self, occurrences: Mapping[int, Sequence[str]] | None = None) -> EpistemicState:
-        """Advance one time step; `occurrences` maps branch -> action names.
-
-        Branches absent from the mapping idle.  Raises on budget,
-        executability, and interference violations; an inconsistent
-        *knowledge* outcome is not an exception but flags the returned
-        state, which cannot be stepped further.
-        """
-        if self.inconsistent:
-            raise EngineError("cannot step an inconsistent state")
-        h = self.horizon
-        if h >= self.max_steps:
-            raise StepBudgetError(f"step horizon {self.max_steps} reached")
-
-        nxt = self._copy()
-        occ = {br: tuple(names) for br, names in (occurrences or {}).items()}
-        for br in occ:
-            if br not in nxt.branches:
-                raise EngineError(f"unknown branch {br}")
-
-        # 1. validate and record the occurrences of every acting branch
-        pending_sensing: list[tuple[int, str]] = []
-        for br in sorted(occ):
-            names = occ[br]
-            if not names:
-                continue
-            if len(set(names)) != len(names):
-                raise ConcurrencyError(f"repeated action in one step on branch {br}")
-            try:
-                actions = [self._actions[n] for n in names]
-            except KeyError as exc:
-                raise EngineError(f"unknown action {exc.args[0]!r}") from None
-            sensors = [a for a in actions if a.is_sensing]
-            if len(sensors) > 1:
-                raise ConcurrencyError(
-                    f"two sensing actions at step {h} on branch {br}"
-                )
-            for a in actions:
-                if not self.is_executable(br, a.name):
-                    lit = next(
-                        lit for lit in a.executability if not self.knows(lit, h, br, h)
-                    )
-                    raise ExecutabilityError(
-                        f"'{a.name}' at step {h} on branch {br} "
-                        f"requires {lit} to be known"
-                    )
-            eps = tuple(ep for a in actions for ep in a.effect_props)
-            self._check_interference(eps, h, br)
-            b = nxt.branches[br]
-            b.occurrences[h] = names
-            b.applied.append(eps)
-            b.rules.append(
-                tuple(r for a in actions for r in self._action_rules[a.name])
-            )
-            if sensors:
-                pending_sensing.append((br, sensors[0].knowledge_props[0].fluent))
-
-        for br, b in nxt.branches.items():
-            if len(b.applied) == h:  # idling branch
-                b.applied.append(())
-                b.rules.append(())
-
-        # 2. resolve sensing: known value is recorded; unknown splits the branch
-        for br, fluent in pending_sensing:
-            parent = nxt.branches[br]
-            known = self.sensing_outcome(br, fluent)
-            if known is True:
-                parent.observations[h] = (fluent, True)
-                parent.sensing_results[h] = (fluent, True)
-            elif known is False:
-                # the look changes nothing: its outcome was already known
-                parent.observations[h] = (fluent, False)
-            else:
-                child_id = br + 1
-                while child_id in nxt.branches:
-                    child_id += 1
-                if child_id > self.max_branches:
-                    raise BranchBudgetError(
-                        f"sensing on branch {br} needs branch {child_id}, "
-                        f"but only {self.max_branches} are allowed"
-                    )
-                child = Branch(parent=br, created_at=h)
-                child.layers = [[0] * (t1 + 1) for t1 in range(h)]
-                child.layers.append(list(parent.layers[h]))
-                child.applied = list(parent.applied)
-                child.rules = list(parent.rules)
-                nxt.branches[child_id] = child
-                nxt.events = nxt.events + (BranchEvent(h, br, child_id, fluent),)
-                parent.observations[h] = (fluent, True)
-                parent.sensing_results[h] = (fluent, True)
-                child.observations[h] = (fluent, False)
-                child.sensing_results[h] = (fluent, False)
-
-        # 3. open layer h+1 as a copy of closed layer h, add sensing
-        # knowledge, and close it from the points that differ: h+1 always,
-        # h when a sensing result landed there
-        nxt.horizon = h + 1
-        for b in nxt.branches.values():
-            b.layers.append(list(b.layers[h]) + [0])
-            res = b.sensing_results.get(h)
-            if res is not None:
-                fluent, value = res
-                b.layers[h + 1][h] |= 1 << self._bit(Literal(fluent, value))
-                nxt._close_layer(b, h + 1, (h, h + 1))
-            else:
-                nxt._close_layer(b, h + 1, (h + 1,))
-
-        nxt.inconsistent = nxt._scan_inconsistent()
-        if nxt.checks:
-            nxt._run_checks(previous=self)
-        return nxt
-
-    def _copy(self) -> EpistemicState:
-        clone = object.__new__(EpistemicState)
-        clone.domain = self.domain
-        clone.max_steps = self.max_steps
-        clone.max_branches = self.max_branches
-        clone.checks = self.checks
-        clone._findex = self._findex
-        clone._lits = self._lits
-        clone._knows_prefixes = self._knows_prefixes
-        clone._unfired_prefixes = self._unfired_prefixes
-        clone._even = self._even
-        clone._actions = self._actions
-        clone._exec_masks = self._exec_masks
-        clone._action_rules = self._action_rules
-        clone._oneofs = self._oneofs
-        clone.horizon = self.horizon
-        clone.inconsistent = self.inconsistent
-        clone.events = self.events
-        clone.branches = {br: b.copy() for br, b in self.branches.items()}
-        return clone
-
-    def _check_interference(
-        self, eps: tuple[EffectProposition, ...], step: int, branch: int
-    ) -> None:
-        """Reject effect pairs that could clash within one step."""
-        for i, ep in enumerate(eps):
-            for ep1 in eps[i + 1 :]:
-                if ep.effect == ep1.effect:
-                    raise ConcurrencyError(
-                        f"'{ep.id}' and '{ep1.id}' both produce {ep.effect} "
-                        f"at step {step} on branch {branch}"
-                    )
-                if ep.effect.fluent == ep1.effect.fluent:
-                    # opposite signs; tolerated only when their conditions
-                    # are mutually exclusive on some fluent
-                    down = ep if not ep.effect.positive else ep1
-                    up = ep1 if down is ep else ep
-                    exclusive = any(
-                        Literal(c.fluent, True) in down.conditions
-                        and Literal(c.fluent, False) in up.conditions
-                        for c in down.conditions
-                    )
-                    if not exclusive:
-                        raise ConcurrencyError(
-                            f"'{ep.id}' and '{ep1.id}' clash on "
-                            f"'{ep.effect.fluent}' at step {step} on branch {branch}"
-                        )
 
     # -- closure ---------------------------------------------------------------
 
-    @staticmethod
-    def _possibly_fired(rules: tuple, row: int) -> int:
-        """Mask of effect literals some applied proposition of a step may
-        have produced, judging its conditions by knowledge `row`."""
-        mask = 0
-        for _cond, falsifier, eff, _effc, _lone in rules:
-            if not row & falsifier:
-                mask |= eff
-        return mask
+    def close_layer(self, rules: tuple, masks: list[int], changed: Iterable[int]) -> None:
+        """Least fixpoint of the inference rules on one layer, in place.
 
-    def _close_layer(self, b: Branch, s: int, changed: Iterable[int]) -> None:
-        """Least fixpoint of the inference rules on layer s of one branch.
-
-        Every rule touching a time point outside `changed` must already
-        hold on the layer; passing every point closes it from scratch.
+        `rules[t]` holds the compiled rules of step t; `masks[t]` is the
+        layer's row for time t.  Every rule touching a time point outside
+        `changed` must already hold on the layer; passing every point
+        closes it from scratch.
         """
-        masks = b.layers[s]
-        last = min(len(b.rules), s)  # pairs (t, t+1) for t < last
+        last = len(rules)  # pairs (t, t+1) for t < last
         pending = 0  # bit t: pair (t, t+1) is queued
         oneof = False
         for p in changed:
@@ -484,7 +279,7 @@ class EpistemicState:
                 return
             t = pending.bit_length() - 1
             pending ^= 1 << t
-            lo, hi = self._close_pair(b.rules[t], masks[t], masks[t + 1])
+            lo, hi = self._close_pair(rules[t], masks[t], masks[t + 1])
             if lo != masks[t]:
                 masks[t] = lo
                 if t:
@@ -502,9 +297,9 @@ class EpistemicState:
         if not rules:  # an idle step: each row persists into the other
             both = lo | hi
             return both, both
-        complement = self._complement_mask
+        complement = self.complement
         while True:
-            fired = self._possibly_fired(rules, lo)
+            fired = _possibly_fired(rules, lo)
             new_hi = hi | (lo & ~complement(fired))
             new_lo = lo | (new_hi & ~fired)
             for cond, falsifier, eff, effc, lone in rules:
@@ -526,7 +321,7 @@ class EpistemicState:
         """Close time point 0 under the exactly-one initial constraints."""
         while True:
             before = row
-            for negs, pairs in self._oneofs:
+            for negs, pairs in self.oneofs:
                 for pb, nb in pairs:
                     if row & pb:
                         row |= negs & ~nb  # ruled in: every sibling is false
@@ -535,10 +330,363 @@ class EpistemicState:
             if row == before:
                 return row
 
+
+# -- one branch ------------------------------------------------------------------
+
+
+class Timeline:
+    """One branch's knowledge after `horizon` steps; never changes.
+
+    `layer` is the newest closed layer (row t: what is known about time
+    t), `rules[t]` the compiled effects applied at step t, and `splits`
+    the number of sensing splits on the way here.  `observation` is the
+    (fluent, value) the step that made this timeline observed, and
+    `sensing_result` the same pair when the engine derived knowledge
+    from it (a look at a value already known false derives none).  An
+    inconsistent timeline cannot be stepped.  With `checks`, every step
+    re-closes its new layer from scratch and asserts that the
+    incremental closure missed nothing and that no knowledge shrank.
+    """
+
+    __slots__ = (
+        "compiled",
+        "layer",
+        "rules",
+        "horizon",
+        "splits",
+        "inconsistent",
+        "observation",
+        "sensing_result",
+        "checks",
+    )
+
+    def __init__(
+        self,
+        compiled: CompiledDomain,
+        layer: tuple[int, ...],
+        rules: tuple,
+        splits: int,
+        checks: bool,
+        observation: tuple[str, bool] | None = None,
+        sensing_result: tuple[str, bool] | None = None,
+    ):
+        self.compiled = compiled
+        self.layer = layer
+        self.rules = rules
+        self.horizon = len(layer) - 1
+        self.splits = splits
+        self.checks = checks
+        self.observation = observation
+        self.sensing_result = sensing_result
+        clash = 0
+        for row in layer:
+            clash |= row & (row >> 1)
+        self.inconsistent = bool(clash & compiled.even)
+
+    @classmethod
+    def start(cls, compiled: CompiledDomain, checks: bool) -> Timeline:
+        """Time zero: the init literals, closed under the exactly-one
+        constraints."""
+        masks = [compiled.init]
+        compiled.close_layer((), masks, (0,))
+        return cls(compiled, tuple(masks), (), 0, checks)
+
+    def step(self, names: Sequence[str], branch: int = 0) -> tuple[Timeline, ...]:
+        """Apply the actions `names` (none: idle) for one step.
+
+        Returns one successor, or a true and a false successor when an
+        action senses a fluent whose value is not known.  Raises on
+        unknown actions, executability and interference violations;
+        `branch` only names the branch in their messages.
+        """
+        if self.inconsistent:
+            raise EngineError("cannot step an inconsistent state")
+        compiled = self.compiled
+        h = self.horizon
+        row = self.layer[h]
+        rules: tuple = ()
+        sensed = -1
+        if names:
+            if len(names) > 1 and len(set(names)) != len(names):
+                raise ConcurrencyError(f"repeated action in one step on branch {branch}")
+            try:
+                acts = [compiled.actions[n] for n in names]
+            except KeyError as exc:
+                raise EngineError(f"unknown action {exc.args[0]!r}") from None
+            for a in acts:
+                if a.sensed >= 0:
+                    if sensed >= 0:
+                        raise ConcurrencyError(
+                            f"two sensing actions at step {h} on branch {branch}"
+                        )
+                    sensed = a.sensed
+            for a in acts:
+                if row & a.need != a.need:
+                    lit = next(
+                        lit for lit in a.action.executability
+                        if not row >> compiled.bit(lit) & 1
+                    )
+                    raise ExecutabilityError(
+                        f"'{a.name}' at step {h} on branch {branch} "
+                        f"requires {lit} to be known"
+                    )
+            if len(acts) == 1:
+                rules = acts[0].rules
+                if not acts[0].clean:
+                    _check_interference(acts[0].action.effect_props, h, branch)
+            else:
+                _check_interference(
+                    tuple(ep for a in acts for ep in a.action.effect_props), h, branch
+                )
+                rules = tuple(r for a in acts for r in a.rules)
+
+        # open layer h+1 as a copy of closed layer h, add sensing
+        # knowledge, and close it from the points that differ: h+1
+        # always, h when a sensing result landed there
+        history = self.rules + (rules,)
+        masks = [*self.layer, 0]
+        if sensed < 0:
+            return (self._successor(history, masks, (h + 1,), self.splits, None, None),)
+        fluent = compiled.fluents[sensed >> 1]
+        if row >> sensed & 1:
+            masks[h] |= 1 << sensed
+            seen = (fluent, True)
+            return (self._successor(history, masks, (h, h + 1), self.splits, seen, seen),)
+        if row >> (sensed ^ 1) & 1:
+            # the look changes nothing: its outcome was already known
+            seen = (fluent, False)
+            return (self._successor(history, masks, (h + 1,), self.splits, seen, None),)
+        other = list(masks)
+        masks[h] |= 1 << sensed
+        other[h] |= 1 << (sensed ^ 1)
+        yes, no = (fluent, True), (fluent, False)
+        splits = self.splits + 1
+        return (
+            self._successor(history, masks, (h, h + 1), splits, yes, yes),
+            self._successor(history, other, (h, h + 1), splits, no, no),
+        )
+
+    def _successor(
+        self,
+        rules: tuple,
+        masks: list[int],
+        changed: tuple[int, ...],
+        splits: int,
+        observation: tuple[str, bool] | None,
+        sensing_result: tuple[str, bool] | None,
+    ) -> Timeline:
+        self.compiled.close_layer(rules, masks, changed)
+        if self.checks:
+            # internal invariants; violations are engine bugs, hence asserts
+            for old, new in zip(self.layer, masks):
+                assert old & ~new == 0, "knowledge shrank across a step"
+            # idempotence: closing the new layer again from scratch, with
+            # every point seeded, must add nothing to the incremental result
+            again = list(masks)
+            self.compiled.close_layer(rules, again, range(len(again)))
+            assert again == masks, "a new layer was not closed"
+        return Timeline(
+            self.compiled, tuple(masks), rules, splits, self.checks,
+            observation, sensing_result,
+        )
+
+
+# -- the multi-branch view -------------------------------------------------------
+
+
+class Branch:
+    """Per-branch bookkeeping.  Internal, but read by the cross-checker."""
+
+    __slots__ = (
+        "parent",
+        "created_at",
+        "timeline",
+        "layers",
+        "applied",
+        "occurrences",
+        "observations",
+        "sensing_results",
+    )
+
+    def __init__(self, parent: int | None, created_at: int, timeline: Timeline):
+        self.parent = parent
+        self.created_at = created_at
+        # the branch's newest layer and compiled history
+        self.timeline = timeline
+        # layers[t1][t]: bitmask of literals known about time t after t1
+        # steps; closed layers are shared with earlier states
+        self.layers: list[list[int]] = [list(timeline.layer)]
+        # applied[t]: effect propositions of the actions that occurred at t
+        self.applied: list[tuple[EffectProposition, ...]] = []
+        self.occurrences: dict[int, tuple[str, ...]] = {}
+        # observations[t]: (fluent, value) this timeline saw at step t
+        self.observations: dict[int, tuple[str, bool]] = {}
+        # sensing_results[t]: like observations, but only when the engine
+        # derived knowledge from the sensing (a known-false look derives none)
+        self.sensing_results: dict[int, tuple[str, bool]] = {}
+
+    @property
+    def used_from(self) -> int:
+        return self.created_at + 1
+
+
+class EpistemicState:
+    """Immutable-by-convention knowledge state; step() returns a new one."""
+
+    def __init__(
+        self,
+        domain: PlanningDomain,
+        max_steps: int,
+        max_branches: int,
+        checks: bool | None = None,
+    ):
+        report = validate_domain(domain)
+        if not report.ok:
+            raise EngineError("invalid domain: " + "; ".join(report.violations))
+        if max_steps < 0 or max_branches < 0:
+            raise EngineError("budgets must be non-negative")
+        compiled = CompiledDomain(domain)
+        self.domain = domain
+        self.max_steps = max_steps
+        self.max_branches = max_branches
+        if checks is None:
+            checks = os.environ.get(CHECKS_ENV_VAR, "") not in ("", "0")
+        self.checks = checks
+        self.compiled = compiled
+
+        self.horizon = 0
+        self.events: tuple[BranchEvent, ...] = ()
+        root = Branch(parent=None, created_at=-1, timeline=Timeline.start(compiled, checks))
+        self.branches: dict[int, Branch] = {0: root}
+        self.inconsistent = root.timeline.inconsistent
+        if self.checks:
+            self._run_checks(previous=None)
+
+    # -- literal interning ---------------------------------------------------
+
+    def _bit(self, lit: Literal) -> int:
+        return self.compiled.bit(lit)
+
+    # -- queries ---------------------------------------------------------------
+
+    def knows(self, lit: Literal, t: int, branch: int, t1: int | None = None) -> bool:
+        """Is `lit` known to hold at time t, judged after t1 steps?"""
+        if t1 is None:
+            t1 = self.horizon
+        if not 0 <= t <= t1 <= self.horizon:
+            return False
+        return bool(self.branches[branch].layers[t1][t] >> self._bit(lit) & 1)
+
+    def known_literals(self, branch: int, t: int, t1: int | None = None) -> tuple:
+        """Every literal known about time t, judged after t1 steps, in
+        bit order (fluent declaration order, true before false)."""
+        if t1 is None:
+            t1 = self.horizon
+        mask = self.branches[branch].layers[t1][t]
+        lits = self.compiled.lits
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(lits[low.bit_length() - 1])
+            mask ^= low
+        return tuple(out)
+
+    def sensing_outcome(self, branch: int, fluent: str) -> bool | None:
+        """Current knowledge of a fluent at the horizon: True/False/None."""
+        h = self.horizon
+        if self.knows(Literal(fluent, True), h, branch, h):
+            return True
+        if self.knows(Literal(fluent, False), h, branch, h):
+            return False
+        return None
+
+    def action(self, name: str) -> Action:
+        """The domain's action called `name`; KeyError when there is none."""
+        return self.compiled.actions[name].action
+
+    def is_executable(self, branch: int, action_name: str) -> bool:
+        need = self.compiled.actions[action_name].need
+        h = self.horizon
+        return self.branches[branch].layers[h][h] & need == need
+
+    # -- stepping ---------------------------------------------------------------
+
+    def step(self, occurrences: Mapping[int, Sequence[str]] | None = None) -> EpistemicState:
+        """Advance one time step; `occurrences` maps branch -> action names.
+
+        Branches absent from the mapping idle.  Raises on budget,
+        executability, and interference violations; an inconsistent
+        *knowledge* outcome is not an exception but flags the returned
+        state, which cannot be stepped further.
+        """
+        if self.inconsistent:
+            raise EngineError("cannot step an inconsistent state")
+        h = self.horizon
+        if h >= self.max_steps:
+            raise StepBudgetError(f"step horizon {self.max_steps} reached")
+        occ = {br: tuple(names) for br, names in (occurrences or {}).items()}
+        for br in occ:
+            if br not in self.branches:
+                raise EngineError(f"unknown branch {br}")
+
+        # every branch steps its own timeline, in branch order, so the
+        # first invalid occurrence is reported before any split is numbered
+        stepped = []
+        for br in sorted(self.branches):
+            names = occ.get(br, ())
+            stepped.append((br, names, self.branches[br].timeline.step(names, br)))
+
+        actions = self.compiled.actions
+        branches: dict[int, Branch] = {}
+        children: list[tuple[int, Branch]] = []
+        taken = set(self.branches)
+        events = self.events
+        for br, names, successors in stepped:
+            old = self.branches[br]
+            eps = tuple(ep for n in names for ep in actions[n].action.effect_props)
+            b = branches[br] = _advance(old, successors[0], h, names, eps)
+            if len(successors) == 1:
+                continue
+            # children take the smallest unused index above their parent
+            child_id = br + 1
+            while child_id in taken:
+                child_id += 1
+            if child_id > self.max_branches:
+                raise BranchBudgetError(
+                    f"sensing on branch {br} needs branch {child_id}, "
+                    f"but only {self.max_branches} are allowed"
+                )
+            taken.add(child_id)
+            no = successors[1]
+            child = Branch(parent=br, created_at=h, timeline=no)
+            child.layers = [[0] * (t1 + 1) for t1 in range(h)]
+            child.layers += [old.layers[h], list(no.layer)]
+            child.applied = b.applied
+            child.observations = {h: no.observation}
+            child.sensing_results = {h: no.sensing_result}
+            children.append((child_id, child))
+            events = events + (BranchEvent(h, br, child_id, no.observation[0]),)
+        branches.update(children)
+
+        nxt = object.__new__(EpistemicState)
+        nxt.domain = self.domain
+        nxt.max_steps = self.max_steps
+        nxt.max_branches = self.max_branches
+        nxt.checks = self.checks
+        nxt.compiled = self.compiled
+        nxt.horizon = h + 1
+        nxt.events = events
+        nxt.branches = branches
+        nxt.inconsistent = any(b.timeline.inconsistent for b in branches.values())
+        if nxt.checks:
+            nxt._run_checks(previous=self)
+        return nxt
+
     def _scan_inconsistent(self) -> bool:
+        even = self.compiled.even
         for b in self.branches.values():
             for row in b.layers[self.horizon]:
-                if row & (row >> 1) & self._even:
+                if row & (row >> 1) & even:
                     return True
         return False
 
@@ -547,8 +695,9 @@ class EpistemicState:
     def all_atoms(self) -> list[str]:
         """Every derived atom, rendered and sorted; the trace format."""
         out: list[str] = []
-        knows = self._knows_prefixes
-        unfired = self._unfired_prefixes
+        compiled = self.compiled
+        knows = compiled.knows_prefixes
+        unfired = compiled.unfired_prefixes
         every_bit = (1 << len(unfired)) - 1
         for bid in sorted(self.branches):
             b = self.branches[bid]
@@ -564,7 +713,7 @@ class EpistemicState:
                 sensing = False
                 for n in names:
                     out.append(f"occ({n},{t},{bid})")
-                    sensing = sensing or self._actions[n].is_sensing
+                    sensing = sensing or compiled.actions[n].sensed >= 0
                 if sensing:
                     out.append(f"sOcc({t},{bid})")
             for t, eps in enumerate(b.applied):
@@ -575,9 +724,10 @@ class EpistemicState:
                 out.append(f"sRes({lit},{t},{bid})")
             for t in range(b.used_from, self.horizon + 1):
                 out.append(f"uBr({t},{bid})")
+            rules = b.timeline.rules
             for t1 in range(max(b.used_from, 0), self.horizon + 1):
-                for t in range(min(t1 + 1, len(b.applied))):
-                    m = every_bit & ~self._possibly_fired(b.rules[t], b.layers[t1][t])
+                for t in range(min(t1 + 1, len(rules))):
+                    m = every_bit & ~_possibly_fired(rules[t], b.layers[t1][t])
                     where = f"{t},{t1},{bid})"
                     while m:
                         low = m & -m
@@ -589,19 +739,23 @@ class EpistemicState:
 
     def knows_atoms(self) -> Iterator[tuple[Literal, int, int, int]]:
         """(literal, t, t1, branch) for every knowledge atom."""
+        lits = self.compiled.lits
         for bid in sorted(self.branches):
             for t1, row in enumerate(self.branches[bid].layers):
                 for t, mask in enumerate(row):
                     m = mask
                     while m:
                         low = m & -m
-                        yield self._lits[low.bit_length() - 1], t, t1, bid
+                        yield lits[low.bit_length() - 1], t, t1, bid
                         m ^= low
 
     # -- assertion-checked build ------------------------------------------------
 
     def _run_checks(self, previous: EpistemicState | None) -> None:
-        """Internal invariants; violations are engine bugs, hence asserts."""
+        """Internal invariants; violations are engine bugs, hence asserts.
+
+        Closure idempotence is asserted by every checked timeline step.
+        """
         for bid, b in self.branches.items():
             assert len(b.layers) == self.horizon + 1, "layer count mismatch"
             for t1, row in enumerate(b.layers):
@@ -611,18 +765,15 @@ class EpistemicState:
                     assert b.layers[t1][t] & ~b.layers[t1 + 1][t] == 0, (
                         f"knowledge shrank on branch {bid} at ({t},{t1})"
                     )
+            assert tuple(b.layers[self.horizon]) == b.timeline.layer, (
+                f"final layer of branch {bid} is not its timeline's"
+            )
             assert len(b.applied) == self.horizon, "applied-step count mismatch"
+            assert len(b.timeline.rules) == self.horizon, "rule-history length mismatch"
             if b.parent is not None:
                 assert b.parent in self.branches, "dangling parent"
                 assert b.parent < bid, "child index not above parent"
                 assert self.branches[b.parent].created_at < b.created_at
-            # idempotence: closing the final layer again from scratch, with
-            # every point seeded, must add nothing to the incremental result
-            snapshot = [list(row) for row in b.layers]
-            self._close_layer(b, self.horizon, range(self.horizon + 1))
-            assert [list(row) for row in b.layers] == snapshot, (
-                f"final layer of branch {bid} was not closed"
-            )
         for ev in self.events:
             parent = self.branches[ev.parent]
             child = self.branches[ev.child]
@@ -639,6 +790,30 @@ class EpistemicState:
                         f"closed layer {t1} of branch {bid} changed"
                     )
         assert self.inconsistent == self._scan_inconsistent()
+
+
+def _advance(
+    old: Branch,
+    timeline: Timeline,
+    h: int,
+    names: tuple[str, ...],
+    eps: tuple[EffectProposition, ...],
+) -> Branch:
+    """`old` one step on: its closed layers shared, `timeline` newest."""
+    b = Branch.__new__(Branch)
+    b.parent = old.parent
+    b.created_at = old.created_at
+    b.timeline = timeline
+    b.layers = old.layers + [list(timeline.layer)]
+    b.applied = old.applied + [eps]
+    b.occurrences = {**old.occurrences, h: names} if names else old.occurrences
+    b.observations = old.observations
+    b.sensing_results = old.sensing_results
+    if timeline.observation is not None:
+        b.observations = {**old.observations, h: timeline.observation}
+    if timeline.sensing_result is not None:
+        b.sensing_results = {**old.sensing_results, h: timeline.sensing_result}
+    return b
 
 
 def initial_state(

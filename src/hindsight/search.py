@@ -2,18 +2,20 @@
 
 A plan is a tree: physical steps have one continuation, sensing steps
 either split (outcome unknown at plan time) or continue straight when
-the value was already known.  Search runs depth-first over one timeline
-at a time — after a split the two sides share no knowledge, so each is
-solved independently against the same engine state, the strong goal
-owed by both sides and the weak goal by at least one.  Horizons are
-iteratively deepened, so the first plan found uses the fewest steps;
-minimum-occurrence search adds an outer action-count budget.  Every
-search step applies at least one action: a wait only shifts the state
-one time point, so no search ever needed one (see _candidates).
+the value was already known.  Search runs depth-first over one engine
+`Timeline` at a time — after a split the two sides share no knowledge,
+so each side's timeline is solved on its own, the strong goal owed by
+both sides and the weak goal by at least one.  No search node builds
+or copies a multi-branch state.  Horizons are iteratively deepened, so
+the first plan found uses the fewest steps; minimum-occurrence search
+adds an outer action-count budget.  Every search step applies at least
+one action: a wait only shifts the state one time point, so no search
+ever needed one (see _candidates).
 
 Every plan returned by a search is replayed through the engine from
 scratch by verify_plan, which is also the public checker for plans
-from any other source.
+from any other source.  The command line reads that replay's report
+(`_verification`) instead of replaying the plan again.
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from itertools import combinations
 from typing import Callable, Iterator, Union
 
 from hindsight.engine import (
-    BranchBudgetError,
+    CompiledDomain,
     ConcurrencyError,
     EngineError,
     EpistemicState,
+    Timeline,
     initial_state,
 )
 from hindsight.model import PlanningDomain
@@ -437,7 +440,7 @@ def verify_plan(
 
 
 def _candidates(
-    state: EpistemicState, branch: int, concurrent: bool, prune: bool = False
+    compiled: CompiledDomain, timeline: Timeline, concurrent: bool, prune: bool = False
 ) -> list[tuple[str, ...]]:
     """Occurrence sets to try: single actions in name order, or in
     concurrent mode action subsets smallest first with at most one
@@ -465,67 +468,71 @@ def _candidates(
     inertia, and sensing it afterwards can reveal the effect's
     condition via postdiction — so it stays opt-in.
     """
-    h = state.horizon
+    row = timeline.layer[-1]
     names = []
-    for action in state.domain.actions:
-        if not state.is_executable(branch, action.name):
+    for a in compiled.menu:
+        if row & a.need != a.need:
             continue
-        if action.is_sensing and (
-            state.sensing_outcome(branch, action.knowledge_props[0].fluent) is not None
-        ):
+        if a.sensed >= 0 and row >> a.sensed & 3:  # either value known
             continue
-        if (
-            prune
-            and action.effect_props
-            and all(
-                state.knows(ep.effect, h, branch, h) for ep in action.effect_props
-            )
-        ):
+        if prune and a.effects and row & a.effects == a.effects:
             continue
-        names.append(action.name)
-    names.sort()
+        names.append(a.name)
     if not concurrent:
         return [(n,) for n in names]
     subsets: list[tuple[str, ...]] = []
     for size in range(1, len(names) + 1):
         for combo in combinations(names, size):
-            sensors = sum(1 for n in combo if state.action(n).is_sensing)
+            sensors = sum(1 for n in combo if compiled.actions[n].sensed >= 0)
             if sensors <= 1:
                 subsets.append(combo)
     return subsets
 
 
-def _make_solver(domain: PlanningDomain, concurrent: bool, prune: bool = False) -> Callable:
-    """Build the recursive timeline solver for one domain.
+def _make_solver(
+    compiled: CompiledDomain,
+    horizon: int,
+    max_branches: int,
+    concurrent: bool,
+    prune: bool = False,
+) -> Callable:
+    """Build the recursive timeline solver for one compiled domain and
+    horizon.
 
-    solve(state, branch, t, weak_required, occ_budget, split_budget)
-    yields (plan, occurrence_count, split_count) in search order; the
-    budgets are None for unbounded.
+    solve(timeline, weak_required, occ_budget, split_budget) yields
+    (plan, occurrence_count, split_count) in search order; the budgets
+    are None for unbounded.
+
+    A split is refused when replay would number its false side above
+    `max_branches`.  Replay gives a child the smallest unused index
+    above its parent, which keeps the indices of any state contiguous
+    from 0 (0..len(events)), so a new child always takes the number of
+    splits so far plus one.  The state a search node stands for holds
+    exactly the splits on the way to it, which both sides of a split
+    count in `Timeline.splits`; hence the check `splits + 1 >
+    max_branches`.
     """
-    strong = domain.goal_literals("strong")
-    weak = domain.goal_literals("weak")
+    weak = compiled.domain.goal_literals("weak")
+    strong = compiled.mask(compiled.domain.goal_literals("strong"))
+    both = strong | compiled.mask(weak)
 
     def solve(
-        state: EpistemicState,
-        branch: int,
-        t: int,
+        timeline: Timeline,
         weak_required: bool,
         occ_budget: int | None,
         split_budget: int | None,
     ) -> Iterator[tuple[ConditionalPlan, int, int]]:
-        required = strong + (weak if weak_required else ())
-        if all(state.knows(lit, t, branch) for lit in required):
+        need = both if weak_required else strong
+        if timeline.layer[-1] & need == need:
             yield Leaf(), 0, 0
             return
-        if t >= state.max_steps:
+        if timeline.horizon >= horizon:
             return
-        for acts in _candidates(state, branch, concurrent, prune):
-            yield from expand(state, branch, t, acts, weak_required, occ_budget, split_budget)
+        for acts in _candidates(compiled, timeline, concurrent, prune):
+            yield from expand(timeline, acts, weak_required, occ_budget, split_budget)
 
     def expand(
-        state: EpistemicState,
-        branch: int,
-        t: int,
+        timeline: Timeline,
         acts: tuple[str, ...],
         weak_required: bool,
         occ_budget: int | None,
@@ -535,15 +542,16 @@ def _make_solver(domain: PlanningDomain, concurrent: bool, prune: bool = False) 
         if occ_budget is not None and cost > occ_budget:
             return
         try:
-            nxt = state.step({branch: acts})
-        except (ConcurrencyError, BranchBudgetError):
-            return
-        if nxt.inconsistent:
+            successors = timeline.step(acts)
+        except ConcurrencyError:
             return
         remaining = None if occ_budget is None else occ_budget - cost
-        new_events = nxt.events[len(state.events):]
-        if new_events:
-            event = new_events[0]
+        if len(successors) == 2:
+            if timeline.splits + 1 > max_branches:
+                return
+            yes, no = successors
+            if yes.inconsistent or no.inconsistent:
+                return
             if split_budget is not None and split_budget < 1:
                 return
             splits_left = None if split_budget is None else split_budget - 1
@@ -551,23 +559,25 @@ def _make_solver(domain: PlanningDomain, concurrent: bool, prune: bool = False) 
                 orders = ((True, False), (False, True))
             else:
                 orders = ((False, False),)
+            fluent = yes.observation[0]
             for parent_weak, child_weak in orders:
                 for p_plan, p_cost, p_splits in solve(
-                    nxt, branch, t + 1, parent_weak, remaining, splits_left
+                    yes, parent_weak, remaining, splits_left
                 ):
                     rem2 = None if remaining is None else remaining - p_cost
                     sb2 = None if splits_left is None else splits_left - p_splits
-                    for c_plan, c_cost, c_splits in solve(
-                        nxt, event.child, t + 1, child_weak, rem2, sb2
-                    ):
+                    for c_plan, c_cost, c_splits in solve(no, child_weak, rem2, sb2):
                         yield (
-                            Step(acts, event.fluent, None, p_plan, c_plan),
+                            Step(acts, fluent, None, p_plan, c_plan),
                             cost + p_cost + c_cost,
                             1 + p_splits + c_splits,
                         )
         else:
+            nxt = successors[0]
+            if nxt.inconsistent:
+                return
             for sub, sub_cost, sub_splits in solve(
-                nxt, branch, t + 1, weak_required, remaining, split_budget
+                nxt, weak_required, remaining, split_budget
             ):
                 yield Step(acts, None, None, sub, None), cost + sub_cost, sub_splits
 
@@ -583,11 +593,50 @@ def _first_plan_at_horizon(
     occ_budget: int | None = None,
     prune: bool = False,
 ) -> ConditionalPlan | None:
-    state0 = initial_state(domain, horizon, max_branches, checks)
-    solve = _make_solver(domain, concurrent, prune)
-    for plan, _cost, _splits in solve(state0, 0, 0, True, occ_budget, max_branches):
+    root = initial_state(domain, horizon, max_branches, checks).branches[0].timeline
+    solve = _make_solver(root.compiled, horizon, max_branches, concurrent, prune)
+    for plan, _cost, _splits in solve(root, True, occ_budget, max_branches):
         return plan
     return None
+
+
+_last_verification: tuple = (None, None, None, None)
+
+
+def _verification(
+    domain: PlanningDomain,
+    plan: ConditionalPlan,
+    max_steps: int,
+    max_branches: int,
+    checks: bool | None,
+) -> VerificationReport:
+    """verify_plan, remembered for the last call (domain and plan
+    compared by identity), so a caller that asks about the plan a
+    search just returned gets the search's replay instead of a second
+    one."""
+    global _last_verification
+    last_domain, last_plan, last_bounds, report = _last_verification
+    bounds = (max_steps, max_branches, checks)
+    if last_domain is not domain or last_plan is not plan or last_bounds != bounds:
+        report = verify_plan(domain, plan, max_steps, max_branches, checks)
+        _last_verification = domain, plan, bounds, report
+    return report
+
+
+def _verified(
+    domain: PlanningDomain,
+    plan: ConditionalPlan,
+    max_steps: int,
+    max_branches: int,
+    checks: bool | None,
+) -> ConditionalPlan:
+    """`plan`, once its replay has passed; PlanSearchError otherwise."""
+    report = _verification(domain, plan, max_steps, max_branches, checks)
+    if not report.ok:
+        raise PlanSearchError(
+            f"found plan fails replay: {'; '.join(report.errors) or 'goals unmet'}"
+        )
+    return plan
 
 
 def find_plan(
@@ -613,12 +662,7 @@ def find_plan(
             domain, horizon, max_branches, concurrent, checks, prune=prune
         )
         if plan is not None:
-            report = verify_plan(domain, plan, max_steps, max_branches, checks)
-            if not report.ok:
-                raise PlanSearchError(
-                    f"found plan fails replay: {'; '.join(report.errors) or 'goals unmet'}"
-                )
-            return plan
+            return _verified(domain, plan, max_steps, max_branches, checks)
     return None
 
 
@@ -651,10 +695,5 @@ def find_optimal_plan(
                 prune=prune,
             )
             if plan is not None:
-                report = verify_plan(domain, plan, max_steps, max_branches, checks)
-                if not report.ok:
-                    raise PlanSearchError(
-                        f"found plan fails replay: {'; '.join(report.errors) or 'goals unmet'}"
-                    )
-                return plan
+                return _verified(domain, plan, max_steps, max_branches, checks)
     return None

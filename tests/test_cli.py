@@ -34,6 +34,33 @@ def test_solve_door_prints_the_conditional_plan_tree(capsys):
     assert err == ""
 
 
+def test_solve_replays_the_found_plan_once(capsys, monkeypatch):
+    from hindsight import cli, search
+
+    argv = ("solve", DOOR, "--max-steps", "4", "--max-branches", "1",
+            "--format", "json-lines", "--oracle-check")
+    calls = []
+    real = search.verify_plan
+    monkeypatch.setattr(search, "verify_plan", lambda *a: calls.append(a) or real(*a))
+    code, once, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1
+
+    # a CLI that replays the plan a second time prints the same lines
+    monkeypatch.setattr(cli, "_verification", lambda *a: search.verify_plan(*a))
+    code, twice, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 3
+
+    def timeless(text):
+        *records, report = text.splitlines()
+        report = json.loads(report)
+        assert report.pop("wall_seconds") >= 0
+        return records, report
+
+    assert timeless(once) == timeless(twice)
+
+
 def test_solve_door_atom_format_is_the_pinned_atom_set(capsys):
     code, out, err = run(capsys, "solve", DOOR, "--max-steps", "4",
                          "--max-branches", "1", "--format", "atoms")

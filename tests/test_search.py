@@ -11,10 +11,17 @@ from __future__ import annotations
 import dataclasses
 import pathlib
 import random
+from itertools import combinations
 
 import pytest
 
 from hindsight import search
+from hindsight.engine import (
+    BranchBudgetError,
+    CompiledDomain,
+    ConcurrencyError,
+    initial_state,
+)
 from hindsight.generators import (
     benchmark_bounds,
     generate_bomb,
@@ -245,6 +252,167 @@ def test_leaving_out_waits_changes_no_returned_plan(monkeypatch):
     # equal plans have equal depth, so the shallowest horizon is unchanged
     assert found == reference
     assert sum(plans[0] is not None for plans in found) > 80
+
+
+# ---------------------------------------------------------------------------
+# timeline search against a multi-branch reference
+
+
+def _reference_first_plan(domain, horizon, max_branches, concurrent, occ_budget, split_budget):
+    """A reference search over whole states: every node steps
+    `EpistemicState.step({branch: acts})`, which numbers the split
+    branches and enforces the branch budget itself."""
+    strong = domain.goal_literals("strong")
+    weak = domain.goal_literals("weak")
+
+    def candidates(state, branch):
+        names = sorted(
+            a.name for a in domain.actions
+            if state.is_executable(branch, a.name)
+            and not (
+                a.is_sensing
+                and state.sensing_outcome(branch, a.knowledge_props[0].fluent) is not None
+            )
+        )
+        if not concurrent:
+            return [(n,) for n in names]
+        return [
+            combo
+            for size in range(1, len(names) + 1)
+            for combo in combinations(names, size)
+            if sum(domain.action(n).is_sensing for n in combo) <= 1
+        ]
+
+    def solve(state, branch, t, weak_required, occ_budget, split_budget):
+        if all(state.knows(lit, t, branch) for lit in strong + (weak if weak_required else ())):
+            yield Leaf(), 0, 0
+            return
+        if t >= state.max_steps:
+            return
+        for acts in candidates(state, branch):
+            cost = len(acts)
+            if occ_budget is not None and cost > occ_budget:
+                continue
+            try:
+                nxt = state.step({branch: acts})
+            except (ConcurrencyError, BranchBudgetError):
+                continue
+            if nxt.inconsistent:
+                continue
+            remaining = None if occ_budget is None else occ_budget - cost
+            new_events = nxt.events[len(state.events):]
+            if not new_events:
+                for sub, sub_cost, sub_splits in solve(
+                    nxt, branch, t + 1, weak_required, remaining, split_budget
+                ):
+                    yield Step(acts, None, None, sub, None), cost + sub_cost, sub_splits
+                continue
+            if split_budget is not None and split_budget < 1:
+                continue
+            event = new_events[0]
+            splits_left = None if split_budget is None else split_budget - 1
+            orders = ((True, False), (False, True)) if weak_required and weak else ((False, False),)
+            for parent_weak, child_weak in orders:
+                for p_plan, p_cost, p_splits in solve(
+                    nxt, branch, t + 1, parent_weak, remaining, splits_left
+                ):
+                    rem2 = None if remaining is None else remaining - p_cost
+                    sb2 = None if splits_left is None else splits_left - p_splits
+                    for c_plan, c_cost, c_splits in solve(
+                        nxt, event.child, t + 1, child_weak, rem2, sb2
+                    ):
+                        yield (
+                            Step(acts, event.fluent, None, p_plan, c_plan),
+                            cost + p_cost + c_cost,
+                            1 + p_splits + c_splits,
+                        )
+
+    state0 = initial_state(domain, horizon, max_branches, checks=False)
+    for plan, _cost, _splits in solve(state0, 0, 0, True, occ_budget, split_budget):
+        return plan
+    return None
+
+
+def _reference_searches(domain, bounds, concurrent_bounds):
+    """_searches, with every search run by the reference solver."""
+    steps, branches = bounds
+
+    def first(horizons, max_branches, concurrent, occ_budget=None):
+        for horizon in horizons:
+            plan = _reference_first_plan(
+                domain, horizon, max_branches, concurrent, occ_budget, max_branches
+            )
+            if plan is not None:
+                return plan
+        return None
+
+    def optimal():
+        for budget in range(steps * (branches + 1) + 1):
+            plan = first(range(steps + 1), branches, False, budget)
+            if plan is not None:
+                return plan
+        return None
+
+    c_steps, c_branches = concurrent_bounds
+    return (
+        first(range(steps + 1), branches, False),
+        first([steps], branches, False),
+        optimal(),
+        first(range(c_steps + 1), c_branches, True),
+    )
+
+
+def test_timeline_search_returns_the_plans_of_whole_state_search():
+    from test_acceptance import _random_domain
+
+    cases = [
+        (_random_domain(random.Random(774000 + i)), (4, 2), (3, 2)) for i in range(200)
+    ]
+    for generate, kind, sizes in (
+        (generate_bomb, "bomb", (4,)),
+        (generate_rings, "rings", (2,)),
+        (generate_sickness, "sickness", (3, 4)),
+    ):
+        for n in sizes:
+            bounds = benchmark_bounds(kind, n)
+            cases.append((generate(n), bounds, bounds))
+    # the branch budget at and around what sickness(4) needs
+    steps, _branches = benchmark_bounds("sickness", 4)
+    for max_branches in range(4):
+        bounds = (steps, max_branches)
+        cases.append((generate_sickness(4), bounds, bounds))
+
+    found = [_searches(*case) for case in cases]
+    assert found == [_reference_searches(*case) for case in cases]
+    assert sum(plans[0] is not None for plans in found) > 80
+    assert [plans[0] is None for plans in found[-4:]] == [True, True, True, False]
+
+    # with no split budget, only the branch indices bound the splits
+    d = generate_sickness(4)
+    for max_branches in range(4):
+        root = initial_state(d, steps, max_branches, checks=False).branches[0].timeline
+        solve = search._make_solver(root.compiled, steps, max_branches, False)
+        plan = next((plan for plan, _cost, _splits in solve(root, True, None, None)), None)
+        assert plan == _reference_first_plan(d, steps, max_branches, False, None, None)
+
+
+def test_checked_search_catches_a_closure_that_misses_a_changed_point(monkeypatch):
+    d = door_domain()
+    real = CompiledDomain.close_layer
+
+    def forgetful(self, rules, masks, changed):
+        # an incremental close forgets the sensing point; a from-scratch
+        # close (every point, as a range) is left alone
+        if isinstance(changed, tuple):
+            changed = changed[-1:]
+        real(self, rules, masks, changed)
+
+    monkeypatch.setattr(CompiledDomain, "close_layer", forgetful)
+    # the door goal does not need the missed postdiction ...
+    assert find_plan(d, max_steps=4, max_branches=1, checks=False) == DOOR_PLAN
+    # ... but the checked build notices that the closure missed it
+    with pytest.raises(AssertionError, match="not closed"):
+        find_plan(d, max_steps=4, max_branches=1, checks=True)
 
 
 # ---------------------------------------------------------------------------
