@@ -12,6 +12,15 @@ adds an outer action-count budget.  Every search step applies at least
 one action: a wait only shifts the state one time point, so no search
 ever needed one (see _candidates).
 
+Three more cuts skip work that provably yields nothing, and so change
+no returned plan and no search order; each argument sits with its code.
+A node whose next split would break the branch budget offers no sensing
+candidate, instead of closing both sides of the split and then refusing
+it (_make_solver).  Within one split, a false-side search that found no
+plan is not run again for a later plan of the true side that leaves it
+the same weak flag and budgets (expand).  The optimal search tries no
+horizon above its occurrence budget (find_optimal_plan).
+
 Every plan returned by a search is replayed through the engine from
 scratch by verify_plan, which is also the public checker for plans
 from any other source.  The command line reads that replay's report
@@ -511,10 +520,18 @@ def _make_solver(
     exactly the splits on the way to it, which both sides of a split
     count in `Timeline.splits`; hence the check `splits + 1 >
     max_branches`.
+
+    solve makes that check before stepping anything: once it holds, it
+    leaves out every candidate that senses.  _candidates offers a sensor
+    only when the sensed value is unknown, and sensing an unknown value
+    always splits, so each candidate left out would have had both sides
+    of its split closed and then been refused (or would have failed the
+    concurrency check first).  None of them ever yielded a plan.
     """
     weak = compiled.domain.goal_literals("weak")
     strong = compiled.mask(compiled.domain.goal_literals("strong"))
     both = strong | compiled.mask(weak)
+    sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
 
     def solve(
         timeline: Timeline,
@@ -528,7 +545,11 @@ def _make_solver(
             return
         if timeline.horizon >= horizon:
             return
-        for acts in _candidates(compiled, timeline, concurrent, prune):
+        candidates = _candidates(compiled, timeline, concurrent, prune)
+        if sensors and timeline.splits + 1 > max_branches:
+            # no split fits: leave out every candidate that senses
+            candidates = [acts for acts in candidates if sensors.isdisjoint(acts)]
+        for acts in candidates:
             yield from expand(timeline, acts, weak_required, occ_budget, split_budget)
 
     def expand(
@@ -538,6 +559,18 @@ def _make_solver(
         occ_budget: int | None,
         split_budget: int | None,
     ) -> Iterator[tuple[ConditionalPlan, int, int]]:
+        """Plans that start by applying `acts` to `timeline`.
+
+        After a split, each plan of the true side is completed by every
+        plan of the false side that fits the budgets it leaves over.
+        That false-side search, solve(no, child_weak, rem2, sb2), is a
+        pure function of its arguments and the solver's constants, and
+        `no` is the same for the whole split; so once a call has yielded
+        nothing, the same (child_weak, rem2, sb2) would yield nothing
+        again, and later true-side plans that leave it are skipped.  A
+        call that yielded a plan is not recorded: its plans are wanted
+        again with the next true-side plan.
+        """
         cost = len(acts)
         if occ_budget is not None and cost > occ_budget:
             return
@@ -547,8 +580,6 @@ def _make_solver(
             return
         remaining = None if occ_budget is None else occ_budget - cost
         if len(successors) == 2:
-            if timeline.splits + 1 > max_branches:
-                return
             yes, no = successors
             if yes.inconsistent or no.inconsistent:
                 return
@@ -560,18 +591,26 @@ def _make_solver(
             else:
                 orders = ((False, False),)
             fluent = yes.observation[0]
+            refuted = set()  # (weak flag, budgets) whose false side has no plan
             for parent_weak, child_weak in orders:
                 for p_plan, p_cost, p_splits in solve(
                     yes, parent_weak, remaining, splits_left
                 ):
                     rem2 = None if remaining is None else remaining - p_cost
                     sb2 = None if splits_left is None else splits_left - p_splits
+                    key = (child_weak, rem2, sb2)
+                    if key in refuted:
+                        continue
+                    solved = False
                     for c_plan, c_cost, c_splits in solve(no, child_weak, rem2, sb2):
+                        solved = True
                         yield (
                             Step(acts, fluent, None, p_plan, c_plan),
                             cost + p_cost + c_cost,
                             1 + p_splits + c_splits,
                         )
+                    if not solved:
+                        refuted.add(key)
         else:
             nxt = successors[0]
             if nxt.inconsistent:
@@ -680,11 +719,18 @@ def find_optimal_plan(
     Outer loop over an occurrence budget, inner loop over horizons:
     the first plan found is optimal because every smaller budget was
     exhausted first.
+
+    Budget b tries the horizons up to min(max_steps, b) only.  Every
+    search step applies at least one action, so a plan within budget b
+    is at most b steps deep.  A larger horizon only admits deeper plans
+    and leaves the search order of the shallower ones as it was, so any
+    plan it could find would already have been found at its own depth,
+    which was tried first.
     """
     per_step = len(domain.actions) if concurrent else 1
     most = max_steps * (max_branches + 1) * per_step
     for budget in range(most + 1):
-        for horizon in range(max_steps + 1):
+        for horizon in range(min(max_steps, budget) + 1):
             plan = _first_plan_at_horizon(
                 domain,
                 horizon,

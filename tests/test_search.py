@@ -9,6 +9,7 @@ than the cheapest one.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pathlib
 import random
 from itertools import combinations
@@ -20,6 +21,7 @@ from hindsight.engine import (
     BranchBudgetError,
     CompiledDomain,
     ConcurrencyError,
+    Timeline,
     initial_state,
 )
 from hindsight.generators import (
@@ -115,6 +117,35 @@ def detour_domain() -> PlanningDomain:
     )
 
 
+def split_budget_domain() -> PlanningDomain:
+    """Sensing f splits; the f side can finish with or without a second
+    split, the -f side only with one.  With two branches, the f-side
+    plans found first split again and leave the -f side no split; only
+    the later split-free plan leaves it one."""
+
+    def look(name, fluent):
+        return Action(name, knowledge_props=(KnowledgeProposition(fluent),))
+
+    def fix(name, *condition):
+        return Action(name, effect_props=(EffectProposition(f"{name}_1", pos("done"), condition),))
+
+    return PlanningDomain(
+        fluents=("f", "g", "h", "done"),
+        actions=(
+            look("a_look_f", "f"),
+            look("b_look_g", "g"),
+            look("c_look_h", "h"),
+            fix("fix_f", pos("f")),
+            fix("fix_f_g", pos("f"), pos("g")),
+            fix("fix_f_ng", pos("f"), neg("g")),
+            fix("fix_nf_h", neg("f"), pos("h")),
+            fix("fix_nf_nh", neg("f"), neg("h")),
+        ),
+        init=(neg("done"),),
+        goals=(GoalProposition("strong", (pos("done"),)),),
+    )
+
+
 # ---------------------------------------------------------------------------
 # find_plan
 
@@ -160,6 +191,25 @@ def test_trivial_goal_yields_the_empty_plan():
     plan = find_plan(trivial, max_steps=2, max_branches=1)
     assert plan == Leaf()
     assert verify_plan(trivial, plan, 2, 1).ok
+
+
+def test_a_false_side_without_a_plan_is_searched_again_with_more_split_budget():
+    d = split_budget_domain()
+    plan = find_plan(d, max_steps=3, max_branches=2, checks=True)
+    assert plan == Step(
+        ("a_look_f",),
+        "f",
+        None,
+        Step(("fix_f",), None, None, Leaf(), None),
+        Step(
+            ("c_look_h",),
+            "h",
+            None,
+            Step(("fix_nf_h",), None, None, Leaf(), None),
+            Step(("fix_nf_nh",), None, None, Leaf(), None),
+        ),
+    )
+    assert verify_plan(d, plan, 3, 2).ok
 
 
 def test_concurrent_shot_while_listening_is_found_and_sound():
@@ -376,6 +426,12 @@ def test_timeline_search_returns_the_plans_of_whole_state_search():
         for n in sizes:
             bounds = benchmark_bounds(kind, n)
             cases.append((generate(n), bounds, bounds))
+    # inputs where the false-side memo and the split filter cut most:
+    # sickness(5), and rings(3) at its benchmark budget of 0 branches;
+    # the reference's concurrent search runs at fewer steps to keep time
+    cases.append((generate_sickness(5), benchmark_bounds("sickness", 5), (4, 4)))
+    cases.append((generate_rings(3), benchmark_bounds("rings", 3), (4, 0)))
+    cases.append((split_budget_domain(), (3, 2), (3, 2)))
     # the branch budget at and around what sickness(4) needs
     steps, _branches = benchmark_bounds("sickness", 4)
     for max_branches in range(4):
@@ -413,6 +469,110 @@ def test_checked_search_catches_a_closure_that_misses_a_changed_point(monkeypatc
     # ... but the checked build notices that the closure missed it
     with pytest.raises(AssertionError, match="not closed"):
         find_plan(d, max_steps=4, max_branches=1, checks=True)
+
+
+# ---------------------------------------------------------------------------
+# search work
+
+# Timeline.step calls made by find_plan: on the benchmark families at
+# their benchmark bounds, on split_budget_domain, whose search resumes
+# the true side of a split after its false side failed, and over
+# criterion 2's 1000 domains, whose weak goals solve each split twice
+FIND_PLAN_STEPS = {
+    "bomb(4)": 150,
+    "bomb(5)": 1220,
+    "bomb(6)": 13437,
+    "rings(2)": 153,
+    "rings(3)": 15570,
+    "sickness(3)": 51,
+    "sickness(4)": 198,
+    "sickness(5)": 1023,
+    "split_budget_domain": 177,
+    "criterion 2": 12044,
+}
+
+
+def test_find_plan_makes_the_pinned_number_of_timeline_steps(monkeypatch):
+    from test_acceptance import _random_domain
+
+    cases = {}
+    for generate, kind, sizes in (
+        (generate_bomb, "bomb", (4, 5, 6)),
+        (generate_rings, "rings", (2, 3)),
+        (generate_sickness, "sickness", (3, 4, 5)),
+    ):
+        for n in sizes:
+            cases[f"{kind}({n})"] = ([generate(n)], benchmark_bounds(kind, n))
+    cases["split_budget_domain"] = ([split_budget_domain()], (3, 2))
+    cases["criterion 2"] = (
+        [_random_domain(random.Random(774000 + i)) for i in range(1000)],
+        (4, 2),
+    )
+
+    real = Timeline.step
+    steps = []  # splits so far of each timeline stepped, raising or not
+    split = []  # splits so far of each timeline whose step split
+
+    def counting(self, names, branch=0):
+        steps.append(self.splits)
+        successors = real(self, names, branch)
+        if len(successors) == 2:
+            split.append(self.splits)
+        return successors
+
+    monkeypatch.setattr(Timeline, "step", counting)
+    counts = {}
+    for label, (domains, (max_steps, max_branches)) in cases.items():
+        steps.clear()
+        split.clear()
+        for d in domains:
+            find_plan(d, max_steps, max_branches)
+        counts[label] = len(steps)
+        # no split is closed only to be refused on the branch budget
+        assert all(splits + 1 <= max_branches for splits in split), label
+    assert counts == FIND_PLAN_STEPS
+
+
+@pytest.mark.parametrize(
+    "max_steps, max_branches, concurrent", [(4, 0, False), (2, 1, False), (2, 1, True)]
+)
+def test_optimal_search_tries_no_horizon_above_the_occurrence_budget(
+    monkeypatch, max_steps, max_branches, concurrent
+):
+    d = door_domain()
+    real = search._first_plan_at_horizon
+    tried = []
+
+    def counting(domain, horizon, *args, occ_budget=None, **kwargs):
+        tried.append((occ_budget, horizon))
+        return real(domain, horizon, *args, occ_budget=occ_budget, **kwargs)
+
+    monkeypatch.setattr(search, "_first_plan_at_horizon", counting)
+    assert find_optimal_plan(d, max_steps, max_branches, concurrent=concurrent) is None
+    per_step = len(d.actions) if concurrent else 1
+    most = max_steps * (max_branches + 1) * per_step
+    assert tried == [
+        (budget, horizon)
+        for budget in range(most + 1)
+        for horizon in range(min(budget, max_steps) + 1)
+    ]
+
+
+# sha256 of repr([plan_depth(find_plan(d, 4, 2)), or None when there is no
+# plan, for criterion 2's 1000 domains]), taken before the search skipped
+# refused splits and repeated false sides
+SHALLOWEST_DEPTHS_DIGEST = "844cc42ed28680395f9d043d56dd9740f37c8a3bc56814414262efb46a241233"
+
+
+def test_find_plan_keeps_the_shallowest_horizon_on_the_criterion_2_corpus():
+    from test_acceptance import _random_domain
+
+    depths = []
+    for i in range(1000):
+        plan = find_plan(_random_domain(random.Random(774000 + i)), 4, 2)
+        depths.append(None if plan is None else plan_depth(plan))
+    assert sum(depth is not None for depth in depths) == 533
+    assert hashlib.sha256(repr(depths).encode()).hexdigest() == SHALLOWEST_DEPTHS_DIGEST
 
 
 # ---------------------------------------------------------------------------
