@@ -57,6 +57,9 @@ EXIT_INTERNAL = 3
 # opt-in because every extra branch multiplies the knowledge state.
 DEFAULT_STEPS = 8
 BRANCH_CAP = 8
+# The search nests about two generator frames per step, so a step budget
+# near 500 overflows Python's default recursion limit of 1000 frames.
+MAX_STEPS = 256
 
 _GENERATORS = {
     "bomb": generate_bomb,
@@ -89,7 +92,8 @@ class RunReport:
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-steps", type=int, default=None, metavar="N",
-                   help="step budget (benchmarks default to their intended depth)")
+                   help="step budget, at most "
+                        f"{MAX_STEPS} (benchmarks default to their intended depth)")
     p.add_argument("--max-branches", type=int, default=None, metavar="N",
                    help="branching budget (defaults to sensing-actions x steps, "
                         f"capped at {BRANCH_CAP})")
@@ -146,6 +150,8 @@ def _bounds(args, domain: PlanningDomain, bench: tuple | None) -> tuple[int, int
         branches = min(sensing * steps, BRANCH_CAP)
     if steps < 1:
         raise ValueError(f"step budget must be at least 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"step budget must be at most {MAX_STEPS}, got {steps}")
     if branches < 0:
         raise ValueError(f"branch budget must be at least 0, got {branches}")
     return steps, branches
@@ -309,7 +315,7 @@ def main(argv=None) -> int:
             return EXIT_INPUT
         name = f"{args.family}({args.n})"
         return _run_search(name, domain, args, (args.family, args.n))
-    except (ParseError, OSError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EngineError, PlanSearchError, EmissionError) as exc:

@@ -25,6 +25,11 @@ Every plan returned by a search is replayed through the engine from
 scratch by verify_plan, which is also the public checker for plans
 from any other source.  The command line reads that replay's report
 (`_verification`) instead of replaying the plan again.
+
+A plan's branches are numbered in one place, plan_walk, by the rule
+the engine numbers its branches with.  Atoms (extract_atoms), output
+records (plan_records), the shape check and the replay all read the
+plan through it.
 """
 
 from __future__ import annotations
@@ -80,22 +85,43 @@ class Step:
 ConditionalPlan = Union[Leaf, Step]
 
 
+def plan_walk(plan: ConditionalPlan) -> Iterator[tuple[int, int, Step, int | None]]:
+    """Every step of a plan as (t, branch, step, child): t ascending,
+    branches ascending within a step.
+
+    This is the one branch numbering of plans, and the engine numbers
+    the branches of a replay by the same rule.  The root is branch 0.
+    A split is a step with `sensed` and `on_false` set; its false side
+    continues on `child`, which takes the smallest unused index above
+    its parent, parents resolved in ascending order.  `child` is None
+    for a step that does not split.  A branch whose plan has ended
+    keeps its index.  Indices so numbered are always 0..k, so the
+    smallest unused index above any parent is k + 1, and a counter
+    applies the rule.
+    """
+    active = {0: plan} if isinstance(plan, Step) else {}
+    fresh = 1
+    t = 0
+    while active:
+        advanced: dict[int, ConditionalPlan] = {}
+        for br in sorted(active):
+            step = active[br]
+            child = None
+            if step.sensed is not None and step.on_false is not None:
+                child, fresh = fresh, fresh + 1
+                advanced[child] = step.on_false
+            advanced[br] = step.on_true
+            yield t, br, step, child
+        active = {br: node for br, node in advanced.items() if isinstance(node, Step)}
+        t += 1
+
+
 def count_occurrences(plan: ConditionalPlan) -> int:
-    if isinstance(plan, Leaf):
-        return 0
-    n = len(plan.actions) + count_occurrences(plan.on_true)
-    if plan.on_false is not None:
-        n += count_occurrences(plan.on_false)
-    return n
+    return sum(len(step.actions) for _t, _br, step, _child in plan_walk(plan))
 
 
 def plan_depth(plan: ConditionalPlan) -> int:
-    if isinstance(plan, Leaf):
-        return 0
-    sides = [plan_depth(plan.on_true)]
-    if plan.on_false is not None:
-        sides.append(plan_depth(plan.on_false))
-    return 1 + max(sides)
+    return max((t + 1 for t, _br, _step, _child in plan_walk(plan)), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,42 +129,37 @@ def plan_depth(plan: ConditionalPlan) -> int:
 
 
 def extract_atoms(plan: ConditionalPlan) -> list[str]:
-    """occ/nextBr/sRes atoms of a plan, with canonical branch numbering.
-
-    Children take the smallest unused index above their parent, parents
-    resolved in ascending order per step — the same rule the engine
-    uses, so replaying the plan yields these exact atoms.
-    """
+    """occ/nextBr/sRes atoms of a plan, numbered by plan_walk, so
+    replaying the plan yields these exact atoms."""
     atoms: list[str] = []
-    active: dict[int, ConditionalPlan] = {0: plan}
-    used = {0}
-    t = 0
-    while any(isinstance(node, Step) for node in active.values()):
-        advanced: dict[int, ConditionalPlan] = {}
-        for br in sorted(active):
-            node = active[br]
-            if isinstance(node, Leaf):
-                advanced[br] = node
-                continue
-            for name in node.actions:
-                atoms.append(f"occ({name},{t},{br})")
-            if node.sensed is not None and node.on_false is not None:
-                child = br + 1
-                while child in used:
-                    child += 1
-                used.add(child)
-                atoms.append(f"nextBr({t},{br},{child})")
-                atoms.append(f"sRes({node.sensed},{t},{br})")
-                atoms.append(f"sRes(-{node.sensed},{t},{child})")
-                advanced[br] = node.on_true
-                advanced[child] = node.on_false
-            else:
-                if node.sensed is not None and node.outcome:
-                    atoms.append(f"sRes({node.sensed},{t},{br})")
-                advanced[br] = node.on_true
-        active = advanced
-        t += 1
+    for t, br, step, child in plan_walk(plan):
+        atoms += (f"occ({name},{t},{br})" for name in step.actions)
+        if child is not None:
+            atoms.append(f"nextBr({t},{br},{child})")
+            atoms.append(f"sRes({step.sensed},{t},{br})")
+            atoms.append(f"sRes(-{step.sensed},{t},{child})")
+        elif step.sensed is not None and step.outcome:
+            atoms.append(f"sRes({step.sensed},{t},{br})")
     return sorted(atoms)
+
+
+def _sensed_fluent(
+    domain: PlanningDomain, names: tuple[str, ...], where: str
+) -> str | None:
+    """The fluent occurrence set `names` senses, or None when it senses
+    nothing; PlanFormatError for an unknown action or for two sensing
+    actions, the latter located by `where`."""
+    sensors = []
+    for n in names:
+        try:
+            action = domain.action(n)
+        except KeyError:
+            raise PlanFormatError(f"unknown action {n!r}") from None
+        if action.is_sensing:
+            sensors.append(action)
+    if len(sensors) > 1:
+        raise PlanFormatError(f"two sensing actions {where}")
+    return sensors[0].knowledge_props[0].fluent if sensors else None
 
 
 _ATOM_RE = re.compile(r"^(\w+)\(([^()]*)\)$")
@@ -184,19 +205,6 @@ def parse_atoms(domain: PlanningDomain, atoms) -> ConditionalPlan:
         if br != 0 and br not in children:
             raise PlanFormatError(f"branch {br} is never created by a split")
 
-    def sensing_fluent(names: tuple[str, ...], t: int, br: int) -> str | None:
-        sensors = []
-        for n in names:
-            try:
-                action = domain.action(n)
-            except KeyError:
-                raise PlanFormatError(f"unknown action {n!r}") from None
-            if action.is_sensing:
-                sensors.append(action)
-        if len(sensors) > 1:
-            raise PlanFormatError(f"two sensing actions at step {t} on branch {br}")
-        return sensors[0].knowledge_props[0].fluent if sensors else None
-
     def build(br: int, t: int) -> ConditionalPlan:
         branch_occ = occ.get(br, {})
         future = [s for s in branch_occ if s >= t]
@@ -207,7 +215,7 @@ def parse_atoms(domain: PlanningDomain, atoms) -> ConditionalPlan:
         if target > t:
             return Step((), None, None, build(br, t + 1), None)
         names = tuple(sorted(branch_occ.get(t, ())))
-        fluent = sensing_fluent(names, t, br)
+        fluent = _sensed_fluent(domain, names, f"at step {t} on branch {br}")
         child = splits.get((t, br))
         if child is not None:
             if fluent is None:
@@ -228,40 +236,18 @@ def parse_atoms(domain: PlanningDomain, atoms) -> ConditionalPlan:
 
 def plan_records(plan: ConditionalPlan) -> list[dict]:
     """One record per action occurrence, for line-oriented output."""
-    records: list[dict] = []
-    active: dict[int, ConditionalPlan] = {0: plan}
-    used = {0}
-    t = 0
-    while any(isinstance(node, Step) for node in active.values()):
-        advanced: dict[int, ConditionalPlan] = {}
-        for br in sorted(active):
-            node = active[br]
-            if isinstance(node, Leaf):
-                advanced[br] = node
-                continue
-            child: int | None = None
-            if node.sensed is not None and node.on_false is not None:
-                child = br + 1
-                while child in used:
-                    child += 1
-                used.add(child)
-            for name in node.actions:
-                records.append(
-                    {
-                        "action": name,
-                        "step": t,
-                        "branch": br,
-                        "sensed": node.sensed,
-                        "then_branch": br if node.sensed is not None else None,
-                        "else_branch": child,
-                    }
-                )
-            advanced[br] = node.on_true
-            if child is not None:
-                advanced[child] = node.on_false
-        active = advanced
-        t += 1
-    return records
+    return [
+        {
+            "action": name,
+            "step": t,
+            "branch": br,
+            "sensed": step.sensed,
+            "then_branch": br if step.sensed is not None else None,
+            "else_branch": child,
+        }
+        for t, br, step, child in plan_walk(plan)
+        for name in step.actions
+    ]
 
 
 def format_plan(plan: ConditionalPlan) -> str:
@@ -308,37 +294,24 @@ class VerificationReport:
 
 def _shape_errors(domain: PlanningDomain, plan: ConditionalPlan) -> list[str]:
     problems: list[str] = []
-
-    def walk(node: ConditionalPlan) -> None:
-        if isinstance(node, Leaf):
-            return
-        if len(set(node.actions)) != len(node.actions):
-            problems.append(f"repeated action in step {node.actions}")
-        sensors = []
-        for name in node.actions:
-            try:
-                action = domain.action(name)
-            except KeyError:
-                problems.append(f"unknown action {name!r}")
-                continue
-            if action.is_sensing:
-                sensors.append(action)
-        if len(sensors) > 1:
-            problems.append(f"two sensing actions in step {node.actions}")
-        elif sensors and node.sensed != sensors[0].knowledge_props[0].fluent:
-            problems.append(
-                f"step {node.actions} senses '{sensors[0].knowledge_props[0].fluent}' "
-                f"but is labelled {node.sensed!r}"
-            )
-        elif not sensors and node.sensed is not None:
-            problems.append(f"step {node.actions} is labelled as sensing {node.sensed!r}")
-        if node.on_false is not None and node.sensed is None:
+    for _t, _br, step, _child in plan_walk(plan):
+        if len(set(step.actions)) != len(step.actions):
+            problems.append(f"repeated action in step {step.actions}")
+        try:
+            fluent = _sensed_fluent(domain, step.actions, f"in step {step.actions}")
+        except PlanFormatError as exc:
+            problems.append(str(exc))
+        else:
+            if fluent is not None and step.sensed != fluent:
+                problems.append(
+                    f"step {step.actions} senses '{fluent}' but is labelled {step.sensed!r}"
+                )
+            elif fluent is None and step.sensed is not None:
+                problems.append(
+                    f"step {step.actions} is labelled as sensing {step.sensed!r}"
+                )
+        if step.on_false is not None and step.sensed is None:
             problems.append("split without a sensed fluent")
-        walk(node.on_true)
-        if node.on_false is not None:
-            walk(node.on_false)
-
-    walk(plan)
     return problems
 
 
@@ -352,65 +325,46 @@ def verify_plan(
     """Replay a plan through the engine and judge the goals.
 
     The replay drives all branches simultaneously, exactly as execution
-    would; once every timeline is done the remaining steps idle, which
-    never loses knowledge.  The weak goal must hold on some branch at
-    the final step and the strong goal on all of them.
+    would, each step with the occurrences plan_walk numbers for it; once
+    every timeline is done the remaining steps idle, which never loses
+    knowledge.  After each step the engine's new splits must be the
+    plan's: where they differ, plan_walk's numbering no longer matches
+    the engine's, so the replay stops there.  The weak goal must hold on
+    some branch at the final step and the strong goal on all of them.
     """
     errors = _shape_errors(domain, plan)
     state = initial_state(domain, max_steps, max_branches, checks)
     if not errors:
-        active: dict[int, ConditionalPlan] = {0: plan}
+        rows: dict[int, list] = {}
+        for row in plan_walk(plan):
+            rows.setdefault(row[0], []).append(row)
         for t in range(max_steps):
-            occurrences = {
-                br: node.actions
-                for br, node in active.items()
-                if isinstance(node, Step) and node.actions
-            }
+            now = rows.get(t, ())
             before = state
             try:
-                state = state.step(occurrences)
+                state = state.step({br: step.actions for _, br, step, _ in now})
             except EngineError as exc:
                 errors.append(f"step {t}: {exc}")
                 break
             if state.inconsistent:
                 errors.append(f"step {t}: knowledge became contradictory")
                 break
-            new_children = {
-                ev.parent: ev for ev in state.events[len(before.events):]
-            }
-            advanced: dict[int, ConditionalPlan] = {}
-            for br, node in active.items():
-                if isinstance(node, Leaf):
-                    advanced[br] = node
-                    continue
-                event = new_children.get(br)
-                if node.sensed is None:
-                    advanced[br] = node.on_true
-                elif event is not None:
-                    if node.on_false is None:
-                        errors.append(
-                            f"step {t}: sensing '{node.sensed}' on branch {br} "
-                            "came out unknown but the plan has one continuation"
-                        )
-                    advanced[br] = node.on_true
-                    advanced[event.child] = (
-                        node.on_false if node.on_false is not None else Leaf()
+            split = {ev.parent for ev in state.events[len(before.events):]}
+            for _, br, step, child in now:
+                if br in split and child is None:
+                    errors.append(
+                        f"step {t}: sensing '{step.sensed}' on branch {br} "
+                        "came out unknown but the plan has one continuation"
                     )
-                else:
-                    if node.on_false is not None:
-                        errors.append(
-                            f"step {t}: the plan splits on '{node.sensed}' at "
-                            f"branch {br}, but its value was already known"
-                        )
-                        known = before.sensing_outcome(br, node.sensed)
-                        advanced[br] = node.on_true if known else node.on_false
-                    else:
-                        advanced[br] = node.on_true
-            active = advanced
+                elif br not in split and child is not None:
+                    errors.append(
+                        f"step {t}: the plan splits on '{step.sensed}' at "
+                        f"branch {br}, but its value was already known"
+                    )
+            if errors:
+                break
         if not errors:
-            leftover = sorted(
-                br for br, node in active.items() if isinstance(node, Step)
-            )
+            leftover = [br for _, br, _, _ in rows.get(max_steps, ())]
             if leftover:
                 errors.append(
                     f"plan continues past the {max_steps}-step budget "

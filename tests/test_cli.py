@@ -251,3 +251,40 @@ def test_missing_bench_size_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["bench", "bomb"])
     assert exc.value.code == 2
+
+
+# -- garbage input and extreme budgets ----------------------------------------
+
+GARBAGE = {"binary.hpx": b"\xff\xfe(:fluents a)", "empty.hpx": b""}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("solve", "binary.hpx"), 2),
+        (("validate", "binary.hpx"), 2),
+        (("solve", "empty.hpx"), 0),
+        (("validate", "empty.hpx"), 0),
+        (("solve", "."), 2),
+        (("validate", "."), 2),
+        (("bench", "sickness", "--n", "3", "--max-steps", "0"), 2),
+        (("bench", "sickness", "--n", "3", "--max-branches", "0", "--max-steps", "1000000"), 2),
+        (("bench", "sickness", "--n", "3", "--max-branches", "-1"), 2),
+        (("bench", "bomb", "--n", "0"), 2),
+        (("bench", "rings", "--n", "0"), 2),
+        (("bench", "sickness", "--n", "0"), 2),
+        # the deepest step budget allowed searches to the end without a plan
+        (("bench", "sickness", "--n", "3", "--max-branches", "0", "--max-steps", "256"), 1),
+    ],
+)
+def test_garbage_input_and_extreme_budgets_exit_cleanly(
+    capsys, tmp_path, monkeypatch, argv, expected
+):
+    for name, data in GARBAGE.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ")

@@ -663,6 +663,50 @@ def test_engine_trace_parses_back_to_the_plan():
     assert parse_atoms(d, report.state.all_atoms()) == DOOR_PLAN
 
 
+def _numbering_inputs():
+    """(domain, max_steps, max_branches): the first 200 criterion-2
+    domains; door, bomb(4), rings(2) and sickness(3-4) at their benchmark
+    bounds; and a domain whose plan splits two branches at one step,
+    which only parents taken in ascending order number as the engine
+    does."""
+    from test_acceptance import _random_domain
+
+    for i in range(200):
+        yield _random_domain(random.Random(774000 + i)), 4, 2
+    yield door_domain(), 3, 1
+    yield split_budget_domain(), 3, 3
+    generate = {"bomb": generate_bomb, "rings": generate_rings, "sickness": generate_sickness}
+    for family, n in (("bomb", 4), ("rings", 2), ("sickness", 3), ("sickness", 4)):
+        yield generate[family](n), *benchmark_bounds(family, n)
+
+
+def test_plan_walk_numbers_branches_as_the_engine_does():
+    solved = 0
+    for d, max_steps, max_branches in _numbering_inputs():
+        plan = find_plan(d, max_steps, max_branches)
+        if plan is None:
+            continue
+        solved += 1
+        report = verify_plan(d, plan, max_steps, max_branches)
+        assert report.ok
+        replayed = [
+            a for a in report.state.all_atoms() if a.startswith(("occ(", "nextBr(", "sRes("))
+        ]
+        atoms = extract_atoms(plan)
+        assert atoms == sorted(replayed)
+        assert parse_atoms(d, atoms) == plan
+        records = plan_records(plan)
+        assert sorted(
+            f"occ({r['action']},{r['step']},{r['branch']})" for r in records
+        ) == [a for a in atoms if a.startswith("occ(")]
+        assert sorted(
+            f"nextBr({r['step']},{r['branch']},{r['else_branch']})"
+            for r in records
+            if r["else_branch"] is not None
+        ) == [a for a in atoms if a.startswith("nextBr(")]
+    assert solved == 89 + 6  # 89 of the 200 corpus domains have a plan
+
+
 def test_idle_gaps_survive_the_round_trip():
     lazy = Step(
         ("open_door",),
