@@ -27,12 +27,17 @@ pair (t, t+1) or, for the oneof rule, time point 0 alone:
 * initial-state exclusivity: "exactly one of" constraints eliminate
   and conclude alternatives as their siblings are ruled in or out.
 
-Both sides of a split start from the parent's newest layer and its
-applied-effect history, so each re-evaluates the shared past under its
-own sensing outcome.  Branches never communicate after the split.  The
-search steps timelines alone; `EpistemicState` is the multi-branch view
-(every layer, occurrences, observations, branch numbering) that replay,
-the oracle and traces read, and its `step` steps each branch's timeline.
+Each timeline links back (`prev`) to the one it was stepped from and
+keeps the occurrences of that step, so a branch's newest timeline is
+its whole history.  Both sides of a split link back to the same parent
+timeline and start from its newest layer and applied-effect history, so
+each re-evaluates the shared past under its own sensing outcome.
+Branches never communicate after the split.  The search steps timelines
+alone; `EpistemicState` is the multi-branch view (branch numbering and
+split events over each branch's newest timeline) that replay, the
+oracle and traces read.  Its `step` steps each branch's timeline, and
+every layer, occurrence and observation it reports is read off the
+chain.
 
 A state's domain is compiled once into a `CompiledDomain` that all its
 timelines share.  Each effect proposition becomes masks over the
@@ -339,8 +344,10 @@ class Timeline:
 
     `layer` is the newest closed layer (row t: what is known about time
     t), `rules[t]` the compiled effects applied at step t, and `splits`
-    the number of sensing splits on the way here.  `observation` is the
-    (fluent, value) the step that made this timeline observed, and
+    the number of sensing splits on the way here.  `prev` is the
+    timeline this one was stepped from (None at time zero; both sides
+    of a split share it), and `names` the occurrences of that step.
+    `observation` is the (fluent, value) that step observed, and
     `sensing_result` the same pair when the engine derived knowledge
     from it (a look at a value already known false derives none).  An
     inconsistent timeline cannot be stepped.  With `checks`, every step
@@ -355,6 +362,8 @@ class Timeline:
         "horizon",
         "splits",
         "inconsistent",
+        "prev",
+        "names",
         "observation",
         "sensing_result",
         "checks",
@@ -367,6 +376,8 @@ class Timeline:
         rules: tuple,
         splits: int,
         checks: bool,
+        prev: Timeline | None = None,
+        names: tuple[str, ...] = (),
         observation: tuple[str, bool] | None = None,
         sensing_result: tuple[str, bool] | None = None,
     ):
@@ -376,6 +387,8 @@ class Timeline:
         self.horizon = len(layer) - 1
         self.splits = splits
         self.checks = checks
+        self.prev = prev
+        self.names = names
         self.observation = observation
         self.sensing_result = sensing_result
         clash = 0
@@ -406,6 +419,7 @@ class Timeline:
         row = self.layer[h]
         rules: tuple = ()
         sensed = -1
+        names = tuple(names)
         if names:
             if len(names) > 1 and len(set(names)) != len(names):
                 raise ConcurrencyError(f"repeated action in one step on branch {branch}")
@@ -446,28 +460,29 @@ class Timeline:
         history = self.rules + (rules,)
         masks = [*self.layer, 0]
         if sensed < 0:
-            return (self._successor(history, masks, (h + 1,), self.splits, None, None),)
+            return (self._successor(names, history, masks, (h + 1,), self.splits, None, None),)
         fluent = compiled.fluents[sensed >> 1]
         if row >> sensed & 1:
             masks[h] |= 1 << sensed
             seen = (fluent, True)
-            return (self._successor(history, masks, (h, h + 1), self.splits, seen, seen),)
+            return (self._successor(names, history, masks, (h, h + 1), self.splits, seen, seen),)
         if row >> (sensed ^ 1) & 1:
             # the look changes nothing: its outcome was already known
             seen = (fluent, False)
-            return (self._successor(history, masks, (h + 1,), self.splits, seen, None),)
+            return (self._successor(names, history, masks, (h + 1,), self.splits, seen, None),)
         other = list(masks)
         masks[h] |= 1 << sensed
         other[h] |= 1 << (sensed ^ 1)
         yes, no = (fluent, True), (fluent, False)
         splits = self.splits + 1
         return (
-            self._successor(history, masks, (h, h + 1), splits, yes, yes),
-            self._successor(history, other, (h, h + 1), splits, no, no),
+            self._successor(names, history, masks, (h, h + 1), splits, yes, yes),
+            self._successor(names, history, other, (h, h + 1), splits, no, no),
         )
 
     def _successor(
         self,
+        names: tuple[str, ...],
         rules: tuple,
         masks: list[int],
         changed: tuple[int, ...],
@@ -487,43 +502,51 @@ class Timeline:
             assert again == masks, "a new layer was not closed"
         return Timeline(
             self.compiled, tuple(masks), rules, splits, self.checks,
-            observation, sensing_result,
+            self, names, observation, sensing_result,
         )
+
+    def chain(self) -> list[Timeline]:
+        """The timelines from time zero to this one, linked by `prev`;
+        entry t has horizon t."""
+        links = []
+        link: Timeline | None = self
+        while link is not None:
+            links.append(link)
+            link = link.prev
+        links.reverse()
+        return links
 
 
 # -- the multi-branch view -------------------------------------------------------
 
 
 class Branch:
-    """Per-branch bookkeeping.  Internal, but read by the cross-checker."""
+    """One branch of a state: the branch it split from (`parent`, None
+    for the root), the step of that split (`created_at`, -1 for the
+    root), and its newest `timeline`, whose chain is the branch's whole
+    history.  Up to `created_at` the chain runs through the parent's
+    timelines; the split step and every later one are the branch's own.
+    Internal, but read by the cross-checker."""
 
-    __slots__ = (
-        "parent",
-        "created_at",
-        "timeline",
-        "layers",
-        "applied",
-        "occurrences",
-        "observations",
-        "sensing_results",
-    )
+    __slots__ = ("parent", "created_at", "timeline", "_layers")
 
     def __init__(self, parent: int | None, created_at: int, timeline: Timeline):
         self.parent = parent
         self.created_at = created_at
-        # the branch's newest layer and compiled history
         self.timeline = timeline
-        # layers[t1][t]: bitmask of literals known about time t after t1
-        # steps; closed layers are shared with earlier states
-        self.layers: list[list[int]] = [list(timeline.layer)]
-        # applied[t]: effect propositions of the actions that occurred at t
-        self.applied: list[tuple[EffectProposition, ...]] = []
-        self.occurrences: dict[int, tuple[str, ...]] = {}
-        # observations[t]: (fluent, value) this timeline saw at step t
-        self.observations: dict[int, tuple[str, bool]] = {}
-        # sensing_results[t]: like observations, but only when the engine
-        # derived knowledge from the sensing (a known-false look derives none)
-        self.sensing_results: dict[int, tuple[str, bool]] = {}
+        self._layers: list[list[int]] | None = None
+
+    @property
+    def layers(self) -> list[list[int]]:
+        """layers[t1][t]: bitmask of literals known about time t after t1
+        steps, zero before the branch existed.  Built from the chain on
+        first read and kept: the timelines never change."""
+        if self._layers is None:
+            self._layers = [
+                list(link.layer) if t1 >= self.created_at else [0] * (t1 + 1)
+                for t1, link in enumerate(self.timeline.chain())
+            ]
+        return self._layers
 
     @property
     def used_from(self) -> int:
@@ -600,10 +623,6 @@ class EpistemicState:
             return False
         return None
 
-    def action(self, name: str) -> Action:
-        """The domain's action called `name`; KeyError when there is none."""
-        return self.compiled.actions[name].action
-
     def is_executable(self, branch: int, action_name: str) -> bool:
         need = self.compiled.actions[action_name].need
         h = self.horizon
@@ -631,20 +650,18 @@ class EpistemicState:
 
         # every branch steps its own timeline, in branch order, so the
         # first invalid occurrence is reported before any split is numbered
-        stepped = []
-        for br in sorted(self.branches):
-            names = occ.get(br, ())
-            stepped.append((br, names, self.branches[br].timeline.step(names, br)))
+        stepped = [
+            (br, self.branches[br].timeline.step(occ.get(br, ()), br))
+            for br in sorted(self.branches)
+        ]
 
-        actions = self.compiled.actions
         branches: dict[int, Branch] = {}
         children: list[tuple[int, Branch]] = []
         taken = set(self.branches)
         events = self.events
-        for br, names, successors in stepped:
+        for br, successors in stepped:
             old = self.branches[br]
-            eps = tuple(ep for n in names for ep in actions[n].action.effect_props)
-            b = branches[br] = _advance(old, successors[0], h, names, eps)
+            branches[br] = Branch(old.parent, old.created_at, successors[0])
             if len(successors) == 1:
                 continue
             # children take the smallest unused index above their parent
@@ -658,13 +675,7 @@ class EpistemicState:
                 )
             taken.add(child_id)
             no = successors[1]
-            child = Branch(parent=br, created_at=h, timeline=no)
-            child.layers = [[0] * (t1 + 1) for t1 in range(h)]
-            child.layers += [old.layers[h], list(no.layer)]
-            child.applied = b.applied
-            child.observations = {h: no.observation}
-            child.sensing_results = {h: no.sensing_result}
-            children.append((child_id, child))
+            children.append((child_id, Branch(br, h, no)))
             events = events + (BranchEvent(h, br, child_id, no.observation[0]),)
         branches.update(children)
 
@@ -709,19 +720,23 @@ class EpistemicState:
                         low = m & -m
                         out.append(knows[low.bit_length() - 1] + where)
                         m ^= low
-            for t, names in sorted(b.occurrences.items()):
+            # link t+1 is the timeline step t made.  occ and sOcc belong to
+            # the branch's own steps, after its split; apply also covers the
+            # shared past, which the branch re-evaluates, and sRes starts at
+            # the split step, whose outcome is the branch's own
+            for t, link in enumerate(b.timeline.chain()[1:]):
                 sensing = False
-                for n in names:
-                    out.append(f"occ({n},{t},{bid})")
-                    sensing = sensing or compiled.actions[n].sensed >= 0
+                for n in link.names:
+                    if t > b.created_at:
+                        out.append(f"occ({n},{t},{bid})")
+                        sensing = sensing or compiled.actions[n].sensed >= 0
+                    for ep in compiled.actions[n].action.effect_props:
+                        out.append(f"apply({ep.id},{t},{bid})")
                 if sensing:
                     out.append(f"sOcc({t},{bid})")
-            for t, eps in enumerate(b.applied):
-                for ep in eps:
-                    out.append(f"apply({ep.id},{t},{bid})")
-            for t, (fluent, value) in sorted(b.sensing_results.items()):
-                lit = Literal(fluent, value)
-                out.append(f"sRes({lit},{t},{bid})")
+                if t >= b.created_at and link.sensing_result is not None:
+                    fluent, value = link.sensing_result
+                    out.append(f"sRes({Literal(fluent, value)},{t},{bid})")
             for t in range(b.used_from, self.horizon + 1):
                 out.append(f"uBr({t},{bid})")
             rules = b.timeline.rules
@@ -757,6 +772,8 @@ class EpistemicState:
         Closure idempotence is asserted by every checked timeline step.
         """
         for bid, b in self.branches.items():
+            chain = b.timeline.chain()
+            assert len(chain) == self.horizon + 1, "chain length mismatch"
             assert len(b.layers) == self.horizon + 1, "layer count mismatch"
             for t1, row in enumerate(b.layers):
                 assert len(row) == t1 + 1, "layer shape mismatch"
@@ -765,15 +782,15 @@ class EpistemicState:
                     assert b.layers[t1][t] & ~b.layers[t1 + 1][t] == 0, (
                         f"knowledge shrank on branch {bid} at ({t},{t1})"
                     )
-            assert tuple(b.layers[self.horizon]) == b.timeline.layer, (
-                f"final layer of branch {bid} is not its timeline's"
-            )
-            assert len(b.applied) == self.horizon, "applied-step count mismatch"
             assert len(b.timeline.rules) == self.horizon, "rule-history length mismatch"
             if b.parent is not None:
                 assert b.parent in self.branches, "dangling parent"
                 assert b.parent < bid, "child index not above parent"
-                assert self.branches[b.parent].created_at < b.created_at
+                parent = self.branches[b.parent]
+                assert parent.created_at < b.created_at
+                assert chain[b.created_at] is parent.timeline.chain()[b.created_at], (
+                    f"branch {bid} does not inherit its parent's history"
+                )
         for ev in self.events:
             parent = self.branches[ev.parent]
             child = self.branches[ev.child]
@@ -790,30 +807,6 @@ class EpistemicState:
                         f"closed layer {t1} of branch {bid} changed"
                     )
         assert self.inconsistent == self._scan_inconsistent()
-
-
-def _advance(
-    old: Branch,
-    timeline: Timeline,
-    h: int,
-    names: tuple[str, ...],
-    eps: tuple[EffectProposition, ...],
-) -> Branch:
-    """`old` one step on: its closed layers shared, `timeline` newest."""
-    b = Branch.__new__(Branch)
-    b.parent = old.parent
-    b.created_at = old.created_at
-    b.timeline = timeline
-    b.layers = old.layers + [list(timeline.layer)]
-    b.applied = old.applied + [eps]
-    b.occurrences = {**old.occurrences, h: names} if names else old.occurrences
-    b.observations = old.observations
-    b.sensing_results = old.sensing_results
-    if timeline.observation is not None:
-        b.observations = {**old.observations, h: timeline.observation}
-    if timeline.sensing_result is not None:
-        b.sensing_results = {**old.sensing_results, h: timeline.sensing_result}
-    return b
 
 
 def initial_state(

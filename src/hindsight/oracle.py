@@ -320,33 +320,18 @@ class SoundnessReport:
 
 
 def branch_trace(state: EpistemicState, branch_id: int) -> tuple:
-    """Reconstruct the action/observation timeline a branch lived through.
+    """The action/observation timeline a branch lived through.
 
-    A branch shares its ancestors' history: steps before an ancestor
-    split belong to that ancestor, and at the split step the child's
-    timeline records the opposite observation the parent continued with.
+    A branch's newest timeline links back step by step to time zero,
+    through its ancestors' timelines before its split, so each link is
+    one step: the occurrences it applied and what it observed.  At its
+    split step a child's link is its own, with the opposite observation
+    to the one its parent continued with.
     """
-    lineage = []
-    b: int | None = branch_id
-    while b is not None:
-        lineage.append(b)
-        b = state.branches[b].parent
-    lineage.reverse()
-
-    steps = []
-    for t in range(state.horizon):
-        owner = lineage[0]
-        holder = lineage[0]
-        for b in lineage:
-            created = state.branches[b].created_at
-            if created < t:
-                owner = b
-            if created <= t:
-                holder = b
-        actions = state.branches[owner].occurrences.get(t, ())
-        obs = state.branches[holder].observations.get(t)
-        steps.append(TraceStep(tuple(actions), (obs,) if obs is not None else ()))
-    return tuple(steps)
+    return tuple(
+        TraceStep(link.names, () if link.observation is None else (link.observation,))
+        for link in state.branches[branch_id].timeline.chain()[1:]
+    )
 
 
 def soundness_check(state: EpistemicState) -> SoundnessReport:

@@ -199,7 +199,8 @@ def parse_atoms(domain: PlanningDomain, atoms) -> ConditionalPlan:
 
     children = {child: (t, parent) for (t, parent), child in splits.items()}
     for child, (t, _parent) in children.items():
-        if any(step <= t for step in occ.get(child, {})):
+        acted = [*occ.get(child, {}), *(s for (s, p) in splits if p == child)]
+        if any(step <= t for step in acted):
             raise PlanFormatError(f"branch {child} acts before its split at step {t}")
     for br in set(occ) | {p for (_, p) in splits}:
         if br != 0 and br not in children:
@@ -382,10 +383,12 @@ def verify_plan(
                 weak_branches.append(br)
             if not all(state.knows(lit, h, br) for lit in strong):
                 strong_failures.append(br)
+    # a branch's own occurrences are those after the split that made it
     occurrences = sum(
-        len(names)
+        len(link.names)
         for b in state.branches.values()
-        for names in b.occurrences.values()
+        for t, link in enumerate(b.timeline.chain()[1:])
+        if t > b.created_at
     )
     found = not errors and bool(weak_branches) and not strong_failures
     return VerificationReport(

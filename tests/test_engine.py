@@ -435,3 +435,100 @@ def test_incremental_closure_reproduces_the_pinned_atoms_of_a_corpus_walk():
     # the checked build re-closes every final layer from scratch after
     # every step and asserts that the incremental closure missed nothing
     assert sum(_single_action_walk(d, True, None) for d in domains) == 37596
+
+
+# -- multi-branch walks: every branch picks its own step ----------------------
+
+# Pinned from the engine that kept a second copy of every branch's
+# history beside its timelines; covers every state's atoms and every
+# rejected step of the walks below.
+MULTI_WALK_DIGEST = "a586171ea1c40ea77030e410080eaec359a8471d8cbb325ce3b1c0edc111b847"
+
+
+def _lineage_trace(state, branch_id, acts, seen):
+    """A branch's trace rebuilt from its lineage, as `branch_trace` was
+    computed before timelines linked back: step t's actions belong to the
+    newest ancestor split before t, its observation to the newest one
+    split at or before t.  `acts[b][t]` and `seen[b][t]` are what the walk
+    gave and observed on branch b itself."""
+    lineage = []
+    b = branch_id
+    while b is not None:
+        lineage.append(b)
+        b = state.branches[b].parent
+    lineage.reverse()
+    steps = []
+    for t in range(state.horizon):
+        owner = holder = lineage[0]
+        for b in lineage:
+            created = state.branches[b].created_at
+            if created < t:
+                owner = b
+            if created <= t:
+                holder = b
+        obs = seen[holder].get(t)
+        steps.append(TraceStep(acts[owner].get(t, ()), (obs,) if obs is not None else ()))
+    return tuple(steps)
+
+
+def _multi_branch_walk(domain, max_steps, max_branches, rng, digest, tally):
+    """One seeded walk to the step budget: at each step every branch takes
+    one action of its own choosing or idles, so splits nest.  A rejected
+    pick is drawn again, at most three times, before every branch idles.
+    Every state's traces must match `_lineage_trace`."""
+    state = initial_state(domain, max_steps, max_branches, checks=False)
+    acts = {0: {}}
+    seen = {0: {}}
+    menu = [None, *domain.actions]
+    while state.horizon < max_steps and not state.inconsistent:
+        h = state.horizon
+        for attempt in range(4):
+            picks = {br: rng.choice(menu) if attempt < 3 else None for br in sorted(state.branches)}
+            occ = {br: (a.name,) for br, a in picks.items() if a is not None}
+            try:
+                nxt = state.step(occ)
+            except EngineError:
+                tally["rejected"] += 1
+                digest.update(b"rejected\n")
+                continue
+            break
+        split = {ev.parent: ev for ev in nxt.events[len(state.events):]}
+        for br, names in occ.items():
+            acts[br][h] = names
+            a = picks[br]
+            if a.is_sensing:
+                fluent = a.knowledge_props[0].fluent
+                known = state.sensing_outcome(br, fluent)
+                seen[br][h] = (fluent, known is not False)
+            if br in split:
+                child = split[br].child
+                acts[child], seen[child] = {}, {h: (split[br].fluent, False)}
+                tally["nested"] += state.branches[br].parent is not None
+        state = nxt
+        tally["states"] += 1
+        digest.update("\n".join(state.all_atoms()).encode())
+        digest.update(f"\ninconsistent={state.inconsistent}\n".encode())
+        for br in state.branches:
+            assert branch_trace(state, br) == _lineage_trace(state, br, acts, seen), br
+
+
+def test_multi_branch_walks_read_their_history_off_the_timeline_chain():
+    from test_acceptance import _random_domain
+
+    from hindsight.generators import benchmark_bounds, generate_sickness
+
+    digest = hashlib.sha256()
+    tally = {"states": 0, "rejected": 0, "nested": 0}
+    for i in range(200):
+        domain = _random_domain(random.Random(774000 + i))
+        rng = random.Random(i)
+        for _ in range(3):
+            _multi_branch_walk(domain, 4, 8, rng, digest, tally)
+    for n in (3, 4):
+        rng = random.Random(n)
+        for _ in range(100):
+            _multi_branch_walk(generate_sickness(n), benchmark_bounds("sickness", n)[0], 3,
+                               rng, digest, tally)
+    # 27 splits were made by a branch that was itself a split's child
+    assert tally == {"states": 3300, "rejected": 1582, "nested": 27}
+    assert digest.hexdigest() == MULTI_WALK_DIGEST

@@ -766,6 +766,19 @@ def test_trailing_idles_are_not_reconstructed():
             ],
             "acts before its split",
         ),
+        (
+            [
+                "occ(sense_open,0,0)",
+                "nextBr(0,0,1)",
+                "sRes(open,0,0)",
+                "sRes(-open,0,1)",
+                "nextBr(0,1,2)",
+                "sRes(open,0,1)",
+                "sRes(-open,0,2)",
+                "occ(drive,1,2)",
+            ],
+            "acts before its split",
+        ),
         (["occ(open_door,zero,0)"], "malformed atom"),
         (["what!"], "unreadable atom"),
         (["nextBr(1,0,1)", "nextBr(1,0,2)"], "two splits"),
