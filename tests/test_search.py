@@ -766,6 +766,10 @@ def test_trailing_idles_are_not_reconstructed():
             ],
             "acts before its split",
         ),
+        (["occ(open_door,zero,0)"], "malformed atom"),
+        (["what!"], "unreadable atom"),
+        (["nextBr(1,0,1)", "nextBr(1,0,2)"], "two splits"),
+        (["occ(fly,0,0)"], "unknown action"),
         (
             [
                 "occ(sense_open,0,0)",
@@ -779,10 +783,6 @@ def test_trailing_idles_are_not_reconstructed():
             ],
             "acts before its split",
         ),
-        (["occ(open_door,zero,0)"], "malformed atom"),
-        (["what!"], "unreadable atom"),
-        (["nextBr(1,0,1)", "nextBr(1,0,2)"], "two splits"),
-        (["occ(fly,0,0)"], "unknown action"),
     ],
 )
 def test_bad_atom_sets_are_rejected(atoms, fragment):
