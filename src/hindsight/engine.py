@@ -37,7 +37,7 @@ alone; `EpistemicState` is the multi-branch view (branch numbering and
 split events over each branch's newest timeline) that replay, the
 oracle and traces read.  Its `step` steps each branch's timeline, and
 every layer, occurrence and observation it reports is read off the
-chain.
+chain: layer t1 of a branch is link t1's `layer`, kept nowhere else.
 
 A state's domain is compiled once into a `CompiledDomain` that all its
 timelines share.  Each effect proposition becomes masks over the
@@ -520,37 +520,31 @@ class Timeline:
 # -- the multi-branch view -------------------------------------------------------
 
 
+@dataclass(slots=True, eq=False)
 class Branch:
     """One branch of a state: the branch it split from (`parent`, None
     for the root), the step of that split (`created_at`, -1 for the
     root), and its newest `timeline`, whose chain is the branch's whole
-    history.  Up to `created_at` the chain runs through the parent's
-    timelines; the split step and every later one are the branch's own.
-    Internal, but read by the cross-checker."""
+    history and its only record of knowledge.  Up to `created_at` the
+    chain runs through the parent's timelines; the split step and every
+    later one are the branch's own.  Internal, but read by the
+    cross-checker."""
 
-    __slots__ = ("parent", "created_at", "timeline", "_layers")
+    parent: int | None
+    created_at: int
+    timeline: Timeline
 
-    def __init__(self, parent: int | None, created_at: int, timeline: Timeline):
-        self.parent = parent
-        self.created_at = created_at
-        self.timeline = timeline
-        self._layers: list[list[int]] | None = None
-
-    @property
-    def layers(self) -> list[list[int]]:
-        """layers[t1][t]: bitmask of literals known about time t after t1
-        steps, zero before the branch existed.  Built from the chain on
-        first read and kept: the timelines never change."""
-        if self._layers is None:
-            self._layers = [
-                list(link.layer) if t1 >= self.created_at else [0] * (t1 + 1)
-                for t1, link in enumerate(self.timeline.chain())
-            ]
-        return self._layers
-
-    @property
-    def used_from(self) -> int:
-        return self.created_at + 1
+    def layer(self, t1: int) -> tuple[int, ...]:
+        """Row t: bitmask of literals known about time t after t1 steps,
+        all zero before the branch existed.  Stage t1 is the layer of
+        the chain's link t1, reached back from the newest timeline (a
+        stage beyond the horizon runs off the chain's start)."""
+        if t1 < self.created_at:
+            return (0,) * (t1 + 1)
+        link = self.timeline
+        while link.horizon != t1:
+            link = link.prev
+        return link.layer
 
 
 class EpistemicState:
@@ -585,11 +579,6 @@ class EpistemicState:
         if self.checks:
             self._run_checks(previous=None)
 
-    # -- literal interning ---------------------------------------------------
-
-    def _bit(self, lit: Literal) -> int:
-        return self.compiled.bit(lit)
-
     # -- queries ---------------------------------------------------------------
 
     def knows(self, lit: Literal, t: int, branch: int, t1: int | None = None) -> bool:
@@ -598,14 +587,14 @@ class EpistemicState:
             t1 = self.horizon
         if not 0 <= t <= t1 <= self.horizon:
             return False
-        return bool(self.branches[branch].layers[t1][t] >> self._bit(lit) & 1)
+        return bool(self.branches[branch].layer(t1)[t] >> self.compiled.bit(lit) & 1)
 
     def known_literals(self, branch: int, t: int, t1: int | None = None) -> tuple:
         """Every literal known about time t, judged after t1 steps, in
         bit order (fluent declaration order, true before false)."""
         if t1 is None:
             t1 = self.horizon
-        mask = self.branches[branch].layers[t1][t]
+        mask = self.branches[branch].layer(t1)[t]
         lits = self.compiled.lits
         out = []
         while mask:
@@ -626,7 +615,7 @@ class EpistemicState:
     def is_executable(self, branch: int, action_name: str) -> bool:
         need = self.compiled.actions[action_name].need
         h = self.horizon
-        return self.branches[branch].layers[h][h] & need == need
+        return self.branches[branch].layer(h)[h] & need == need
 
     # -- stepping ---------------------------------------------------------------
 
@@ -696,7 +685,7 @@ class EpistemicState:
     def _scan_inconsistent(self) -> bool:
         even = self.compiled.even
         for b in self.branches.values():
-            for row in b.layers[self.horizon]:
+            for row in b.layer(self.horizon):
                 if row & (row >> 1) & even:
                     return True
         return False
@@ -712,19 +701,33 @@ class EpistemicState:
         every_bit = (1 << len(unfired)) - 1
         for bid in sorted(self.branches):
             b = self.branches[bid]
-            for t1, row in enumerate(b.layers):
-                for t, mask in enumerate(row):
+            chain = b.timeline.chain()
+            rules = b.timeline.rules
+            # a branch knows nothing before its split stage, whose rows
+            # are its parent's; it is in use from the stage after that
+            for t1 in range(max(b.created_at, 0), len(chain)):
+                layer = chain[t1].layer
+                for t, mask in enumerate(layer):
                     m = mask
                     where = f"{t},{t1},{bid})"
                     while m:
                         low = m & -m
                         out.append(knows[low.bit_length() - 1] + where)
                         m ^= low
+                if t1 > b.created_at:
+                    out.append(f"uBr({t1},{bid})")
+                    for t in range(min(t1 + 1, len(rules))):
+                        m = every_bit & ~_possibly_fired(rules[t], layer[t])
+                        where = f"{t},{t1},{bid})"
+                        while m:
+                            low = m & -m
+                            out.append(unfired[low.bit_length() - 1] + where)
+                            m ^= low
             # link t+1 is the timeline step t made.  occ and sOcc belong to
             # the branch's own steps, after its split; apply also covers the
             # shared past, which the branch re-evaluates, and sRes starts at
             # the split step, whose outcome is the branch's own
-            for t, link in enumerate(b.timeline.chain()[1:]):
+            for t, link in enumerate(chain[1:]):
                 sensing = False
                 for n in link.names:
                     if t > b.created_at:
@@ -737,17 +740,6 @@ class EpistemicState:
                 if t >= b.created_at and link.sensing_result is not None:
                     fluent, value = link.sensing_result
                     out.append(f"sRes({Literal(fluent, value)},{t},{bid})")
-            for t in range(b.used_from, self.horizon + 1):
-                out.append(f"uBr({t},{bid})")
-            rules = b.timeline.rules
-            for t1 in range(max(b.used_from, 0), self.horizon + 1):
-                for t in range(min(t1 + 1, len(rules))):
-                    m = every_bit & ~_possibly_fired(rules[t], b.layers[t1][t])
-                    where = f"{t},{t1},{bid})"
-                    while m:
-                        low = m & -m
-                        out.append(unfired[low.bit_length() - 1] + where)
-                        m ^= low
         for ev in self.events:
             out.append(f"nextBr({ev.step},{ev.parent},{ev.child})")
         return sorted(out)
@@ -756,8 +748,10 @@ class EpistemicState:
         """(literal, t, t1, branch) for every knowledge atom."""
         lits = self.compiled.lits
         for bid in sorted(self.branches):
-            for t1, row in enumerate(self.branches[bid].layers):
-                for t, mask in enumerate(row):
+            b = self.branches[bid]
+            chain = b.timeline.chain()
+            for t1 in range(max(b.created_at, 0), len(chain)):
+                for t, mask in enumerate(chain[t1].layer):
                     m = mask
                     while m:
                         low = m & -m
@@ -774,12 +768,12 @@ class EpistemicState:
         for bid, b in self.branches.items():
             chain = b.timeline.chain()
             assert len(chain) == self.horizon + 1, "chain length mismatch"
-            assert len(b.layers) == self.horizon + 1, "layer count mismatch"
-            for t1, row in enumerate(b.layers):
-                assert len(row) == t1 + 1, "layer shape mismatch"
+            assert b.timeline.horizon == self.horizon, "layer count mismatch"
+            for t1, link in enumerate(chain):
+                assert len(link.layer) == t1 + 1, "layer shape mismatch"
             for t1 in range(self.horizon):
                 for t in range(t1 + 1):
-                    assert b.layers[t1][t] & ~b.layers[t1 + 1][t] == 0, (
+                    assert chain[t1].layer[t] & ~chain[t1 + 1].layer[t] == 0, (
                         f"knowledge shrank on branch {bid} at ({t},{t1})"
                     )
             assert len(b.timeline.rules) == self.horizon, "rule-history length mismatch"
@@ -794,16 +788,16 @@ class EpistemicState:
         for ev in self.events:
             parent = self.branches[ev.parent]
             child = self.branches[ev.child]
-            assert child.layers[ev.step] == parent.layers[ev.step], (
+            assert child.layer(ev.step) == parent.layer(ev.step), (
                 "split layer diverged from parent"
             )
             assert self.knows(Literal(ev.fluent, True), ev.step, ev.parent, ev.step + 1)
             assert self.knows(Literal(ev.fluent, False), ev.step, ev.child, ev.step + 1)
         if previous is not None:
             for bid, old in previous.branches.items():
-                new = self.branches[bid]
-                for t1 in range(previous.horizon + 1):
-                    assert new.layers[t1] == old.layers[t1], (
+                new = self.branches[bid].timeline.chain()
+                for t1, link in enumerate(old.timeline.chain()):
+                    assert new[t1].layer == link.layer, (
                         f"closed layer {t1} of branch {bid} changed"
                     )
         assert self.inconsistent == self._scan_inconsistent()

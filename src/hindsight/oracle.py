@@ -10,12 +10,13 @@ worlds that agree with the observed value.
 
 A domain is compiled once, and kept until a query names another
 domain.  Every effect proposition becomes a (positive-condition mask,
-negative-condition mask, effect bit, sign) row.  The initial worlds are enumerated directly instead of filtered
-out of all 2^n assignments: the init literals fix their fluents, each
-oneof group picks exactly one member (making its other literals false),
-and the fluents neither mentions are free, so the worlds are the
-consistent oneof choices times every assignment of the free fluents.
-The capacity cap counts those initial worlds (MAX_ORACLE_WORLDS), not
+negative-condition mask, effect bit, sign) row.  The initial worlds
+are enumerated directly instead of filtered out of all 2^n
+assignments: the init literals fix their fluents, each oneof group
+picks exactly one member (making its other literals false), and the
+fluents neither mentions are free, so the worlds are the consistent
+oneof choices times every assignment of the free fluents.  The
+capacity cap counts those initial worlds (MAX_ORACLE_WORLDS), not
 fluents: sickness(n) has 2n fluents but only n worlds.
 
 Queries use hindsight semantics: "was l true at time t" is answered
@@ -231,14 +232,17 @@ def _consistent_choices(
     assignment: tuple[int, int], groups: Sequence[Sequence[tuple[int, int]]]
 ) -> Iterator[tuple[int, int]]:
     """Every way of extending `assignment` by one choice per oneof group
-    without contradicting it or an earlier choice."""
-    if not groups:
-        yield assignment
-        return
-    fixed, value = assignment
-    for g_fixed, g_value in groups[0]:
-        if not (value ^ g_value) & fixed & g_fixed:
-            yield from _consistent_choices((fixed | g_fixed, value | g_value), groups[1:])
+    without contradicting it or an earlier choice, depth first.  The walk
+    keeps its own stack, so any number of groups fits."""
+    stack = [(0, assignment)]
+    while stack:
+        depth, (fixed, value) = stack.pop()
+        if depth == len(groups):
+            yield fixed, value
+            continue
+        for g_fixed, g_value in reversed(groups[depth]):
+            if not (value ^ g_value) & fixed & g_fixed:
+                stack.append((depth + 1, (fixed | g_fixed, value | g_value)))
 
 
 def initial_sigma(domain: PlanningDomain) -> frozenset:

@@ -559,12 +559,13 @@ def test_criterion_9_invariants_held_on_every_checked_state():
         state = state.step({0: ("sense_color_1",)})
         state = state.step({br: ("sense_color_2",) for br in (0, 1)})
         for bid, branch in state.branches.items():
-            for t1, row in enumerate(branch.layers):
+            for t1 in range(state.horizon + 1):
+                row = branch.layer(t1)
                 assert len(row) == t1 + 1  # nothing is known about the future
             for t1 in range(state.horizon):
                 for t in range(t1 + 1):
-                    old = branch.layers[t1][t]
-                    assert old & ~branch.layers[t1 + 1][t] == 0
+                    old = branch.layer(t1)[t]
+                    assert old & ~branch.layer(t1 + 1)[t] == 0
             if branch.parent is not None:
                 assert branch.parent < bid
         # only the color_1-negative timeline splits again: on the positive

@@ -259,7 +259,14 @@ def test_missing_bench_size_is_a_usage_error():
 
 # -- garbage input and extreme budgets ----------------------------------------
 
-GARBAGE = {"binary.hpx": b"\xff\xfe(:fluents a)", "empty.hpx": b""}
+GARBAGE = {
+    "binary.hpx": b"\xff\xfe(:fluents a)",
+    "empty.hpx": b"",
+    # more oneof groups than Python's recursion limit
+    "oneofs.hpx": b"(:init g)\n"
+    + b"".join(b"(oneof a%d b%d)\n" % (i, i) for i in range(1200))
+    + b"(:action noop :effect g)\n(:goal strong g)\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -279,6 +286,8 @@ GARBAGE = {"binary.hpx": b"\xff\xfe(:fluents a)", "empty.hpx": b""}
         (("bench", "sickness", "--n", "0"), 2),
         # the deepest step budget allowed searches to the end without a plan
         (("bench", "sickness", "--n", "3", "--max-branches", "0", "--max-steps", "256"), 1),
+        # the oracle skips a domain past its world cap instead of crashing
+        (("solve", "oneofs.hpx", "--oracle-check", "--max-steps", "1", "--max-branches", "0"), 0),
     ],
 )
 def test_garbage_input_and_extreme_budgets_exit_cleanly(

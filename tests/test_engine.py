@@ -7,6 +7,7 @@ against exhaustive world enumeration.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import pathlib
 import random
@@ -345,8 +346,10 @@ def test_checks_flag_reads_the_environment(monkeypatch):
 
 def test_inconsistency_detector_trips_on_a_contradictory_row():
     s = initial_state(door_domain(), max_steps=1, max_branches=0, checks=False)
-    bit = s._bit(pos("open"))
-    s.branches[0].layers[0][0] |= (1 << bit) | (1 << (bit ^ 1))
+    bit = s.compiled.bit(pos("open"))
+    planted = copy.copy(s.branches[0].timeline)
+    planted.layer = (planted.layer[0] | (1 << bit) | (1 << (bit ^ 1)),)
+    s.branches[0].timeline = planted
     assert s._scan_inconsistent()
     with pytest.raises(EngineError):
         s.inconsistent = True
@@ -358,7 +361,27 @@ def test_knowledge_is_monotone_across_evaluation_stages():
     for bid, b in s.branches.items():
         for t1 in range(s.horizon):
             for t in range(t1 + 1):
-                assert b.layers[t1][t] & ~b.layers[t1 + 1][t] == 0, (bid, t, t1)
+                assert b.layer(t1)[t] & ~b.layer(t1 + 1)[t] == 0, (bid, t, t1)
+
+
+def test_a_child_knows_nothing_before_its_split_and_its_parents_rows_at_it():
+    s = run_door_narrative()
+    parent, child = s.branches[0], s.branches[1]
+    assert (child.parent, child.created_at) == (0, 1)
+    for t1 in range(child.created_at):
+        for t in range(t1 + 1):
+            claims = s.known_literals(0, t, t1)
+            assert claims  # the parent knows the init literals
+            assert s.known_literals(1, t, t1) == ()
+            for lit in claims:
+                assert s.knows(lit, t, 0, t1)
+                assert not s.knows(lit, t, 1, t1)
+    at = child.created_at
+    assert child.layer(at) == parent.layer(at)
+    for t in range(at + 1):
+        assert s.known_literals(1, t, at) == s.known_literals(0, t, at)
+    # the newest stage is the timeline's own layer
+    assert child.layer(s.horizon) is child.timeline.layer
 
 
 def test_negative_postdiction_never_blames_a_repeated_condition_alone():

@@ -6,6 +6,7 @@ they are independent of any engine code.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -294,6 +295,16 @@ def test_cap_is_reached_at_2_to_the_16_initial_worlds():
         initial_sigma(pairs(MAX_ORACLE_FLUENTS + 1))
 
 
+def test_cap_is_reached_with_more_oneof_groups_than_the_recursion_limit():
+    n = 1200
+    fluents = tuple(f"f{i}" for i in range(2 * n))
+    groups = tuple(
+        OneofConstraint((pos(fluents[2 * i]), pos(fluents[2 * i + 1]))) for i in range(n)
+    )
+    with pytest.raises(OracleCapacityError):
+        initial_sigma(PlanningDomain(fluents=fluents, oneofs=groups))
+
+
 def coin_domain() -> PlanningDomain:
     """Four tosses, one per case of d and e, so heads is certain after
     all four; a look reads it.
@@ -324,8 +335,9 @@ def test_soundness_check_reports_a_false_claim_and_a_vacuous_branch():
     assert honest.vacuous_branches == (1,)
 
     # branch 0 now claims d held initially; d is free in every world
-    layer = state.branches[0].layers[state.horizon]
-    layer[0] |= 1 << state._bit(pos("d"))
+    planted = copy.copy(state.branches[0].timeline)
+    planted.layer = (planted.layer[0] | 1 << state.compiled.bit(pos("d")),) + planted.layer[1:]
+    state.branches[0].timeline = planted
     report = soundness_check(state)
     assert report.checked == honest.checked + 1
     assert report.violations == (
