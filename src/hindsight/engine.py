@@ -172,30 +172,6 @@ class CompiledAction:
             self.clean = False
 
 
-_last_bit_tables: tuple = (None, ())
-
-
-def _bit_tables(domain: PlanningDomain) -> tuple[tuple, tuple, tuple]:
-    """Per literal bit: the interned literal, the prefix of its knowledge
-    atom, and the prefix of the atom saying no applied effect may have
-    produced it ("kNotInit(f," for f, "kNotTerm(f," for -f).
-
-    Only the most recent domain's tables are kept, compared by identity:
-    a search builds many initial states of one domain in a row.
-    """
-    global _last_bit_tables
-    if _last_bit_tables[0] is not domain:
-        lits = tuple(
-            Literal(f, positive) for f in domain.fluents for positive in (True, False)
-        )
-        _last_bit_tables = domain, (
-            lits,
-            tuple(f"knows({lit}," for lit in lits),
-            tuple(f"{kind}({f}," for f in domain.fluents for kind in ("kNotInit", "kNotTerm")),
-        )
-    return _last_bit_tables[1]
-
-
 class CompiledDomain:
     """A validated domain's bit layout, action masks and closure.
 
@@ -206,7 +182,16 @@ class CompiledDomain:
         self.domain = domain
         self.fluents = domain.fluents
         self.findex = {f: i for i, f in enumerate(domain.fluents)}
-        self.lits, self.knows_prefixes, self.unfired_prefixes = _bit_tables(domain)
+        # per literal bit: the interned literal, the prefix of its knowledge
+        # atom, and that of the atom saying no applied effect may have
+        # produced it ("kNotInit(f," for f, "kNotTerm(f," for -f)
+        self.lits = tuple(
+            Literal(f, positive) for f in domain.fluents for positive in (True, False)
+        )
+        self.knows_prefixes = tuple(f"knows({lit}," for lit in self.lits)
+        self.unfired_prefixes = tuple(
+            f"{kind}({f}," for f in domain.fluents for kind in ("kNotInit", "kNotTerm")
+        )
         self.even = sum(1 << b for b in range(0, 2 * len(domain.fluents), 2))
         self.init = self.mask(domain.init)
         self.actions = {

@@ -17,7 +17,9 @@ picks exactly one member (making its other literals false), and the
 fluents neither mentions are free, so the worlds are the consistent
 oneof choices times every assignment of the free fluents.  The
 capacity cap counts those initial worlds (MAX_ORACLE_WORLDS), not
-fluents: sickness(n) has 2n fluents but only n worlds.
+fluents: sickness(n) has 2n fluents but only n worlds.  A second cap
+bounds the work of finding them, since oneof choices can contradict a
+later group exponentially often (_consistent_choices).
 
 Queries use hindsight semantics: "was l true at time t" is answered
 from the initial worlds that survive *all* observations along the whole
@@ -233,9 +235,23 @@ def _consistent_choices(
 ) -> Iterator[tuple[int, int]]:
     """Every way of extending `assignment` by one choice per oneof group
     without contradicting it or an earlier choice, depth first.  The walk
-    keeps its own stack, so any number of groups fits."""
+    keeps its own stack, so any number of groups fits.
+
+    The world cap counts only the choices yielded, and a walk can try
+    exponentially many partial choices that all come to a contradiction
+    later.  So the walk raises OracleCapacityError once it has tried more
+    than (len(groups) + 1) * MAX_ORACLE_WORLDS of them: a walk within the
+    cap and without dead ends tries at most that many."""
+    cap = (len(groups) + 1) * MAX_ORACLE_WORLDS
+    tried = 0
     stack = [(0, assignment)]
     while stack:
+        tried += 1
+        if tried > cap:
+            raise OracleCapacityError(
+                f"more than {cap} partial oneof choices exceeds the work cap "
+                "for exhaustive enumeration"
+            )
         depth, (fixed, value) = stack.pop()
         if depth == len(groups):
             yield fixed, value

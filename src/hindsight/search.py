@@ -8,9 +8,10 @@ so each side's timeline is solved on its own, the strong goal owed by
 both sides and the weak goal by at least one.  No search node builds
 or copies a multi-branch state.  Horizons are iteratively deepened, so
 the first plan found uses the fewest steps; minimum-occurrence search
-adds an outer action-count budget.  Every search step applies at least
-one action: a wait only shifts the state one time point, so no search
-ever needed one (see _candidates).
+adds an outer action-count budget.  Every restart starts from one root
+timeline, so a search validates and compiles its domain once.  Every
+search step applies at least one action: a wait only shifts the state
+one time point, so no search ever needed one (see _candidates).
 
 Three more cuts skip work that provably yields nothing, and so change
 no returned plan and no search order; each argument sits with its code.
@@ -580,16 +581,27 @@ def _make_solver(
     return solve
 
 
+def _root(
+    domain: PlanningDomain, horizon: int, max_branches: int, checks: bool | None
+) -> Timeline | None:
+    """The time-zero timeline every restart of a search starts from, or
+    None when the initial knowledge is contradictory: such a timeline
+    cannot be stepped, so no plan starts there (expand drops inconsistent
+    successors alike).  A search builds it where its first restart would,
+    so it validates and compiles the domain once and raises what
+    initial_state raises.  Timelines never change, so restarts can share it."""
+    root = initial_state(domain, horizon, max_branches, checks).branches[0].timeline
+    return None if root.inconsistent else root
+
+
 def _first_plan_at_horizon(
-    domain: PlanningDomain,
+    root: Timeline,
     horizon: int,
     max_branches: int,
     concurrent: bool,
-    checks: bool | None,
     occ_budget: int | None = None,
     prune: bool = False,
 ) -> ConditionalPlan | None:
-    root = initial_state(domain, horizon, max_branches, checks).branches[0].timeline
     solve = _make_solver(root.compiled, horizon, max_branches, concurrent, prune)
     for plan, _cost, _splits in solve(root, True, occ_budget, max_branches):
         return plan
@@ -653,10 +665,11 @@ def find_plan(
     the full budgets before being returned.
     """
     horizons = range(max_steps + 1) if deepen else [max_steps]
+    root = _root(domain, horizons[0], max_branches, checks) if horizons else None
+    if root is None:
+        return None
     for horizon in horizons:
-        plan = _first_plan_at_horizon(
-            domain, horizon, max_branches, concurrent, checks, prune=prune
-        )
+        plan = _first_plan_at_horizon(root, horizon, max_branches, concurrent, prune=prune)
         if plan is not None:
             return _verified(domain, plan, max_steps, max_branches, checks)
     return None
@@ -686,16 +699,14 @@ def find_optimal_plan(
     """
     per_step = len(domain.actions) if concurrent else 1
     most = max_steps * (max_branches + 1) * per_step
+    # the first restart is (0, 0), unless the loops below try none
+    root = _root(domain, 0, max_branches, checks) if min(max_steps, most) >= 0 else None
+    if root is None:
+        return None
     for budget in range(most + 1):
         for horizon in range(min(max_steps, budget) + 1):
             plan = _first_plan_at_horizon(
-                domain,
-                horizon,
-                max_branches,
-                concurrent,
-                checks,
-                occ_budget=budget,
-                prune=prune,
+                root, horizon, max_branches, concurrent, occ_budget=budget, prune=prune
             )
             if plan is not None:
                 return _verified(domain, plan, max_steps, max_branches, checks)

@@ -266,6 +266,16 @@ GARBAGE = {
     "oneofs.hpx": b"(:init g)\n"
     + b"".join(b"(oneof a%d b%d)\n" % (i, i) for i in range(1200))
     + b"(:action noop :effect g)\n(:goal strong g)\n",
+    # the init rules out both members of a oneof group, with the goal
+    # unmet and met at time zero
+    "contradiction.hpx": b"(:init -c -d) (oneof c d) (:action noop :effect g) (:goal strong g)",
+    "contradiction_met.hpx": b"(:init -c -d g) (oneof c d) (:action noop :effect g) "
+    b"(:goal strong g)",
+    # 2**40 oneof choices, each refuted only by the last three groups
+    "triangle.hpx": b"(:init g)\n"
+    + b"".join(b"(oneof a%d b%d)\n" % (i, i) for i in range(40))
+    + b"(oneof c d)\n(oneof c e)\n(oneof d e)\n"
+    + b"(:action noop :effect g)\n(:goal strong g)\n",
 }
 
 
@@ -288,6 +298,13 @@ GARBAGE = {
         (("bench", "sickness", "--n", "3", "--max-branches", "0", "--max-steps", "256"), 1),
         # the oracle skips a domain past its world cap instead of crashing
         (("solve", "oneofs.hpx", "--oracle-check", "--max-steps", "1", "--max-branches", "0"), 0),
+        # contradictory initial knowledge: no plan, not an internal error
+        (("solve", "contradiction.hpx"), 1),
+        (("solve", "contradiction.hpx", "--optimal"), 1),
+        (("solve", "contradiction_met.hpx"), 1),
+        (("solve", "contradiction_met.hpx", "--optimal"), 1),
+        # the oracle gives up on a oneof walk that finds no world for long
+        (("solve", "triangle.hpx", "--oracle-check", "--max-steps", "1", "--max-branches", "0"), 0),
     ],
 )
 def test_garbage_input_and_extreme_budgets_exit_cleanly(
@@ -296,11 +313,13 @@ def test_garbage_input_and_extreme_budgets_exit_cleanly(
     for name, data in GARBAGE.items():
         (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err
     if code == 2:
         assert err.startswith("error: ")
+    if "--oracle-check" in argv:
+        assert "oracle check: skipped: " in out
 
 
 # -- generated mutations of the shipped domains -------------------------------

@@ -305,6 +305,20 @@ def test_cap_is_reached_with_more_oneof_groups_than_the_recursion_limit():
         initial_sigma(PlanningDomain(fluents=fluents, oneofs=groups))
 
 
+def test_cap_is_reached_by_a_oneof_walk_that_finds_no_world():
+    # no choice meets all three triangle groups, and the walk refutes
+    # each choice of the 40 pairs before them only at the triangle
+    def domain(n):
+        pairs = [OneofConstraint((pos(f"a{i}"), pos(f"b{i}"))) for i in range(n)]
+        triangle = [OneofConstraint((pos(x), pos(y))) for x, y in ("cd", "ce", "de")]
+        fluents = tuple(f"{x}{i}" for i in range(n) for x in "ab") + tuple("cde")
+        return PlanningDomain(fluents=fluents, oneofs=tuple(pairs + triangle))
+
+    assert initial_sigma(domain(0)) == frozenset()
+    with pytest.raises(OracleCapacityError, match="partial oneof choices"):
+        initial_sigma(domain(40))
+
+
 def coin_domain() -> PlanningDomain:
     """Four tosses, one per case of d and e, so heads is certain after
     all four; a look reads it.

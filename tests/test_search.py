@@ -21,6 +21,7 @@ from hindsight.engine import (
     BranchBudgetError,
     CompiledDomain,
     ConcurrencyError,
+    EngineError,
     Timeline,
     initial_state,
 )
@@ -556,6 +557,65 @@ def test_optimal_search_tries_no_horizon_above_the_occurrence_budget(
         for budget in range(most + 1)
         for horizon in range(min(budget, max_steps) + 1)
     ]
+
+
+def test_a_search_validates_and_compiles_its_domain_once(monkeypatch):
+    from hindsight import engine
+
+    builds = []
+    real_validate = engine.validate_domain
+    real_compile = CompiledDomain.__init__
+
+    def validating(domain):
+        builds.append("validate")
+        return real_validate(domain)
+
+    def compiling(self, domain):
+        builds.append("compile")
+        real_compile(self, domain)
+
+    monkeypatch.setattr(engine, "validate_domain", validating)
+    monkeypatch.setattr(CompiledDomain, "__init__", compiling)
+    d = door_domain()
+    # 15 (budget, horizon) restarts, none with a plan, share one root
+    assert find_optimal_plan(d, 4, 0) is None
+    assert builds == ["validate", "compile"]
+    builds.clear()
+    # one build for the search and one for the replay of its plan
+    assert find_plan(d, 4, 1) == DOOR_PLAN
+    assert builds == ["validate", "compile"] * 2
+
+
+def test_a_search_raises_what_its_first_restart_raises():
+    d = door_domain()
+    invalid = dataclasses.replace(d, fluents=d.fluents + d.fluents[:1])
+    for call in (
+        lambda: find_plan(invalid, 4, 1),
+        lambda: find_optimal_plan(invalid, 4, 1),
+    ):
+        with pytest.raises(EngineError, match="invalid domain"):
+            call()
+    for call in (
+        lambda: find_plan(d, 4, -1),
+        lambda: find_optimal_plan(d, 4, -1),
+        lambda: find_plan(d, -1, 1, deepen=False),
+    ):
+        with pytest.raises(EngineError, match="non-negative"):
+            call()
+    # no restart to make: nothing is built, not even the invalid domain
+    assert find_plan(invalid, -1, 1) is None
+    assert find_optimal_plan(invalid, -1, 1) is None
+
+
+@pytest.mark.parametrize("init", ["¬c ¬d", "¬c ¬d g"])
+def test_contradictory_initial_knowledge_has_no_plan(init):
+    # the oneof group rules c or d in, the init rules both out; with g in
+    # the init the goal looks met at time zero, but nothing is trusted
+    d = parse_domain(f"(:init {init}) (oneof c d) (:action noop :effect g) (:goal strong g)")
+    assert initial_state(d, 2, 0).inconsistent
+    assert find_plan(d, 2, 0) is None
+    assert find_plan(d, 2, 0, deepen=False) is None
+    assert find_optimal_plan(d, 2, 0) is None
 
 
 # sha256 of repr([plan_depth(find_plan(d, 4, 2)), or None when there is no
