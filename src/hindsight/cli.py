@@ -1,8 +1,9 @@
 """Command-line front end: solve domain files, run benchmarks, validate.
 
 Exit codes: 0 plan found (or file valid), 1 no plan within the bounds,
-2 input error (unreadable file, parse error, bad arguments), 3 internal
-inconsistency (verification, oracle, or engine failure).
+2 input error (unreadable file, parse error, bad arguments, a domain the
+emitter cannot write), 3 internal inconsistency (replay, oracle, or
+engine failure).
 
 Output formats for a found plan:
 
@@ -36,11 +37,11 @@ from .oracle import OracleCapacityError, soundness_check
 from .parser import ParseError, parse_domain
 from .search import (
     PlanSearchError,
-    _verification,
+    _search,
     count_occurrences,
     extract_atoms,
-    find_optimal_plan,
-    find_plan,
+    find_optimal_plan,  # noqa: F401  perfbench/spans.py traces it under this name
+    find_plan,  # noqa: F401  perfbench/spans.py traces it under this name
     format_plan,
     plan_records,
     verify_plan,  # noqa: F401  perfbench/spans.py traces it under this name
@@ -213,16 +214,10 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
         )
 
     started = time.perf_counter()
-    if args.optimal:
-        plan = find_optimal_plan(
-            domain, steps, branches,
-            concurrent=args.concurrent, prune=args.optimize,
-        )
-    else:
-        plan = find_plan(
-            domain, steps, branches,
-            concurrent=args.concurrent, prune=args.optimize,
-        )
+    found = _search(
+        domain, steps, branches,
+        optimal=args.optimal, concurrent=args.concurrent, prune=args.optimize,
+    )
     wall = time.perf_counter() - started
 
     base = dict(
@@ -233,7 +228,7 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
         max_branches=branches,
         mode=mode,
     )
-    if plan is None:
+    if found is None:
         run = RunReport(**base, plan_found=False, occurrences=None,
                         wall_seconds=round(wall, 6), atom_counts=(), oracle=None)
         if args.format == "json-lines":
@@ -244,11 +239,7 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
         )
         return EXIT_NO_PLAN
 
-    verification = _verification(domain, plan, steps, branches, None)
-    if not verification.ok:
-        detail = "; ".join(verification.errors) or "goals unmet"
-        print(f"error: found plan fails verification: {detail}", file=sys.stderr)
-        return EXIT_INTERNAL
+    plan, verification = found
     state = verification.state
     counts = _atom_counts(state)
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
@@ -315,10 +306,12 @@ def main(argv=None) -> int:
             return EXIT_INPUT
         name = f"{args.family}({args.n})"
         return _run_search(name, domain, args, (args.family, args.n))
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError, UnicodeDecodeError, EmissionError) as exc:
+        # bounds and validity are checked before emission, so the emitter
+        # rejects only what the domain asks of it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (EngineError, PlanSearchError, EmissionError) as exc:
+    except (EngineError, PlanSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -22,10 +22,11 @@ plan is not run again for a later plan of the true side that leaves it
 the same weak flag and budgets (expand).  The optimal search tries no
 horizon above its occurrence budget (find_optimal_plan).
 
-Every plan returned by a search is replayed through the engine from
-scratch by verify_plan, which is also the public checker for plans
-from any other source.  The command line reads that replay's report
-(`_verification`) instead of replaying the plan again.
+Every plan a search returns has been replayed once through the engine
+from scratch by verify_plan, which is also the public checker for plans
+from any other source.  One driver, _search, runs the restarts of both
+searches and returns the plan with that replay's report; the command
+line calls it and reports from that replay instead of making another.
 
 A plan's branches are numbered in one place, plan_walk, by the rule
 the engine numbers its branches with.  Atoms (extract_atoms), output
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterator, Union
 
 from hindsight.engine import (
@@ -581,70 +582,62 @@ def _make_solver(
     return solve
 
 
-def _root(
-    domain: PlanningDomain, horizon: int, max_branches: int, checks: bool | None
-) -> Timeline | None:
-    """The time-zero timeline every restart of a search starts from, or
-    None when the initial knowledge is contradictory: such a timeline
-    cannot be stepped, so no plan starts there (expand drops inconsistent
-    successors alike).  A search builds it where its first restart would,
-    so it validates and compiles the domain once and raises what
-    initial_state raises.  Timelines never change, so restarts can share it."""
-    root = initial_state(domain, horizon, max_branches, checks).branches[0].timeline
-    return None if root.inconsistent else root
-
-
-def _first_plan_at_horizon(
-    root: Timeline,
-    horizon: int,
+def _search(
+    domain: PlanningDomain,
+    max_steps: int,
     max_branches: int,
+    *,
+    optimal: bool,
     concurrent: bool,
-    occ_budget: int | None = None,
+    deepen: bool = True,
+    checks: bool | None = None,
     prune: bool = False,
-) -> ConditionalPlan | None:
-    solve = _make_solver(root.compiled, horizon, max_branches, concurrent, prune)
-    for plan, _cost, _splits in solve(root, True, occ_budget, max_branches):
-        return plan
-    return None
+) -> tuple[ConditionalPlan, VerificationReport] | None:
+    """The first plan of find_plan's restarts, or of find_optimal_plan's
+    when `optimal`, with the report of its one replay at the full
+    budgets; None when no restart finds a plan, and PlanSearchError when
+    the plan fails its replay.
 
-
-_last_verification: tuple = (None, None, None, None)
-
-
-def _verification(
-    domain: PlanningDomain,
-    plan: ConditionalPlan,
-    max_steps: int,
-    max_branches: int,
-    checks: bool | None,
-) -> VerificationReport:
-    """verify_plan, remembered for the last call (domain and plan
-    compared by identity), so a caller that asks about the plan a
-    search just returned gets the search's replay instead of a second
-    one."""
-    global _last_verification
-    last_domain, last_plan, last_bounds, report = _last_verification
-    bounds = (max_steps, max_branches, checks)
-    if last_domain is not domain or last_plan is not plan or last_bounds != bounds:
-        report = verify_plan(domain, plan, max_steps, max_branches, checks)
-        _last_verification = domain, plan, bounds, report
-    return report
-
-
-def _verified(
-    domain: PlanningDomain,
-    plan: ConditionalPlan,
-    max_steps: int,
-    max_branches: int,
-    checks: bool | None,
-) -> ConditionalPlan:
-    """`plan`, once its replay has passed; PlanSearchError otherwise."""
-    report = _verification(domain, plan, max_steps, max_branches, checks)
-    if not report.ok:
-        raise PlanSearchError(
-            f"found plan fails replay: {'; '.join(report.errors) or 'goals unmet'}"
+    A restart is an (occurrence budget, horizon) pair.  Every restart
+    starts from one time-zero timeline, built where the first restart
+    would build it, so a search validates and compiles the domain once
+    and raises what initial_state raises; with no restart to make,
+    nothing is built.  Timelines never change, so restarts can share it.
+    Contradictory initial knowledge gives a timeline that cannot be
+    stepped, so no plan starts there (expand drops inconsistent
+    successors alike).
+    """
+    if optimal:
+        per_step = len(domain.actions) if concurrent else 1
+        # a negative step budget leaves no horizon to any occurrence budget
+        most = max_steps * (max_branches + 1) * per_step if max_steps >= 0 else -1
+        restarts = (
+            (budget, horizon)
+            for budget in range(most + 1)
+            for horizon in range(min(max_steps, budget) + 1)
         )
-    return plan
+    else:
+        horizons = range(max_steps + 1) if deepen else [max_steps]
+        restarts = ((None, horizon) for horizon in horizons)
+    first = next(restarts, None)
+    if first is None:
+        return None
+    root = initial_state(domain, first[1], max_branches, checks).branches[0].timeline
+    if root.inconsistent:
+        return None
+    for occ_budget, horizon in chain([first], restarts):
+        solve = _make_solver(root.compiled, horizon, max_branches, concurrent, prune)
+        # the search's generators are dropped before the replay runs
+        hit = next(solve(root, True, occ_budget, max_branches), None)
+        if hit is not None:
+            plan = hit[0]
+            report = verify_plan(domain, plan, max_steps, max_branches, checks)
+            if not report.ok:
+                raise PlanSearchError(
+                    f"found plan fails replay: {'; '.join(report.errors) or 'goals unmet'}"
+                )
+            return plan, report
+    return None
 
 
 def find_plan(
@@ -664,15 +657,11 @@ def find_plan(
     is faster when the needed depth is known.  The plan is replayed at
     the full budgets before being returned.
     """
-    horizons = range(max_steps + 1) if deepen else [max_steps]
-    root = _root(domain, horizons[0], max_branches, checks) if horizons else None
-    if root is None:
-        return None
-    for horizon in horizons:
-        plan = _first_plan_at_horizon(root, horizon, max_branches, concurrent, prune=prune)
-        if plan is not None:
-            return _verified(domain, plan, max_steps, max_branches, checks)
-    return None
+    found = _search(
+        domain, max_steps, max_branches,
+        optimal=False, concurrent=concurrent, deepen=deepen, checks=checks, prune=prune,
+    )
+    return None if found is None else found[0]
 
 
 def find_optimal_plan(
@@ -697,17 +686,8 @@ def find_optimal_plan(
     plan it could find would already have been found at its own depth,
     which was tried first.
     """
-    per_step = len(domain.actions) if concurrent else 1
-    most = max_steps * (max_branches + 1) * per_step
-    # the first restart is (0, 0), unless the loops below try none
-    root = _root(domain, 0, max_branches, checks) if min(max_steps, most) >= 0 else None
-    if root is None:
-        return None
-    for budget in range(most + 1):
-        for horizon in range(min(max_steps, budget) + 1):
-            plan = _first_plan_at_horizon(
-                root, horizon, max_branches, concurrent, occ_budget=budget, prune=prune
-            )
-            if plan is not None:
-                return _verified(domain, plan, max_steps, max_branches, checks)
-    return None
+    found = _search(
+        domain, max_steps, max_branches,
+        optimal=True, concurrent=concurrent, checks=checks, prune=prune,
+    )
+    return None if found is None else found[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pathlib
 import random
+import re
 import string
 
 import pytest
@@ -227,3 +228,46 @@ def test_fuzz_round_trip_on_random_well_formed_domains():
             goals=goals,
         )
         assert parse_domain(render_domain(d)) == d
+
+
+# ---------------------------------------------------------------------------
+# The README's domain language section
+
+README = pathlib.Path(__file__).parents[1] / "README.md"
+
+
+def _readme_domain_texts() -> list[str]:
+    """The README's `lisp` example, and one domain per form of its syntax
+    table with `…` dropped: a clause that starts with a keyword goes into
+    an action, `(:static …)` into the `(:init …)` its row names, and each
+    effect the `:effect` row lists into an action of its own."""
+    def code(cell: str) -> list[str]:
+        return [c.replace(" …", "").replace("…", "") for c in re.findall(r"`([^`]*)`", cell)]
+
+    text = README.read_text(encoding="utf-8")
+    texts = re.findall(r"```lisp\n(.*?)```", text, re.S)
+    rows = text[text.index("| Form | Meaning |"):].splitlines()[2:]
+    for row in rows[: next(i for i, r in enumerate(rows) if not r.startswith("|"))]:
+        form_cell, meaning_cell = row.strip("| ").split(" | ")
+        forms = code(form_cell)
+        if forms[0].startswith("(:static"):
+            texts.append(f"{forms[1][:-1]} {forms[0]})")
+            continue
+        texts += [f"(:action n {f} :effect e)" if f.startswith(":") else f for f in forms]
+        if ":effect" in forms[0]:
+            texts += [f"(:action n :effect {e})" for e in code(meaning_cell)]
+    return texts
+
+
+def test_the_readme_domain_examples_parse():
+    texts = _readme_domain_texts()
+    assert len(texts) == 13
+    for text in texts:
+        try:
+            parse_domain(text)
+        except ParseError as exc:
+            pytest.fail(f"README form {text!r}: {exc}")
+    # the conditional effect is documented in the form render_domain writes
+    assert "(when (and c1 c2) eff)" in render_domain(
+        parse_domain("(:action n :effect (when (and c1 c2) eff))")
+    )

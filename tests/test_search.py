@@ -541,14 +541,19 @@ def test_optimal_search_tries_no_horizon_above_the_occurrence_budget(
     monkeypatch, max_steps, max_branches, concurrent
 ):
     d = door_domain()
-    real = search._first_plan_at_horizon
+    real = search._make_solver
     tried = []
 
-    def counting(domain, horizon, *args, occ_budget=None, **kwargs):
-        tried.append((occ_budget, horizon))
-        return real(domain, horizon, *args, occ_budget=occ_budget, **kwargs)
+    def counting(compiled, horizon, *args):
+        solve = real(compiled, horizon, *args)
 
-    monkeypatch.setattr(search, "_first_plan_at_horizon", counting)
+        def restart(timeline, weak_required, occ_budget, split_budget):
+            tried.append((occ_budget, horizon))
+            return solve(timeline, weak_required, occ_budget, split_budget)
+
+        return restart
+
+    monkeypatch.setattr(search, "_make_solver", counting)
     assert find_optimal_plan(d, max_steps, max_branches, concurrent=concurrent) is None
     per_step = len(d.actions) if concurrent else 1
     most = max_steps * (max_branches + 1) * per_step
