@@ -33,11 +33,13 @@ its whole history.  Both sides of a split link back to the same parent
 timeline and start from its newest layer and applied-effect history, so
 each re-evaluates the shared past under its own sensing outcome.
 Branches never communicate after the split.  The search steps timelines
-alone; `EpistemicState` is the multi-branch view (branch numbering and
-split events over each branch's newest timeline) that replay, the
-oracle and traces read.  Its `step` steps each branch's timeline, and
-every layer, occurrence and observation it reports is read off the
-chain: layer t1 of a branch is link t1's `layer`, kept nowhere else.
+alone; `EpistemicState` is the multi-branch view (branch numbering over
+each branch's newest timeline) that replay, the oracle and traces read.
+Its `step` steps each branch's timeline, and every layer, occurrence,
+observation, sensing result and split it reports is read off the chain:
+layer t1 of a branch is link t1's `layer`, and a branch's split is its
+`parent` and `created_at` with the observation of the link that step
+made, kept nowhere else.
 
 A state's domain is compiled once into a `CompiledDomain` that all its
 timelines share.  Each effect proposition becomes masks over the
@@ -95,16 +97,6 @@ class BranchBudgetError(EngineError):
 
 class StepBudgetError(EngineError):
     """The state has already reached its step horizon."""
-
-
-@dataclass(frozen=True)
-class BranchEvent:
-    """A sensing split: `child` continues with the sensed fluent false."""
-
-    step: int
-    parent: int
-    child: int
-    fluent: str
 
 
 # -- per-domain tables ---------------------------------------------------------
@@ -332,12 +324,13 @@ class Timeline:
     the number of sensing splits on the way here.  `prev` is the
     timeline this one was stepped from (None at time zero; both sides
     of a split share it), and `names` the occurrences of that step.
-    `observation` is the (fluent, value) that step observed, and
-    `sensing_result` the same pair when the engine derived knowledge
-    from it (a look at a value already known false derives none).  An
-    inconsistent timeline cannot be stepped.  With `checks`, every step
-    re-closes its new layer from scratch and asserts that the
-    incremental closure missed nothing and that no knowledge shrank.
+    `observation` is the (fluent, value) that step observed.  The engine
+    derived a sensing result from it when the value is true or the step
+    split (`splits` above `prev.splits`), and none from a look at a
+    value already known false.  An inconsistent timeline cannot be
+    stepped.  With `checks`, every step re-closes its new layer from
+    scratch and asserts that the incremental closure missed nothing and
+    that no knowledge shrank.
     """
 
     __slots__ = (
@@ -350,7 +343,6 @@ class Timeline:
         "prev",
         "names",
         "observation",
-        "sensing_result",
         "checks",
     )
 
@@ -364,7 +356,6 @@ class Timeline:
         prev: Timeline | None = None,
         names: tuple[str, ...] = (),
         observation: tuple[str, bool] | None = None,
-        sensing_result: tuple[str, bool] | None = None,
     ):
         self.compiled = compiled
         self.layer = layer
@@ -375,7 +366,6 @@ class Timeline:
         self.prev = prev
         self.names = names
         self.observation = observation
-        self.sensing_result = sensing_result
         clash = 0
         for row in layer:
             clash |= row & (row >> 1)
@@ -445,24 +435,22 @@ class Timeline:
         history = self.rules + (rules,)
         masks = [*self.layer, 0]
         if sensed < 0:
-            return (self._successor(names, history, masks, (h + 1,), self.splits, None, None),)
+            return (self._successor(names, history, masks, (h + 1,), self.splits, None),)
         fluent = compiled.fluents[sensed >> 1]
+        yes, no = (fluent, True), (fluent, False)
         if row >> sensed & 1:
             masks[h] |= 1 << sensed
-            seen = (fluent, True)
-            return (self._successor(names, history, masks, (h, h + 1), self.splits, seen, seen),)
+            return (self._successor(names, history, masks, (h, h + 1), self.splits, yes),)
         if row >> (sensed ^ 1) & 1:
             # the look changes nothing: its outcome was already known
-            seen = (fluent, False)
-            return (self._successor(names, history, masks, (h + 1,), self.splits, seen, None),)
+            return (self._successor(names, history, masks, (h + 1,), self.splits, no),)
         other = list(masks)
         masks[h] |= 1 << sensed
         other[h] |= 1 << (sensed ^ 1)
-        yes, no = (fluent, True), (fluent, False)
         splits = self.splits + 1
         return (
-            self._successor(names, history, masks, (h, h + 1), splits, yes, yes),
-            self._successor(names, history, other, (h, h + 1), splits, no, no),
+            self._successor(names, history, masks, (h, h + 1), splits, yes),
+            self._successor(names, history, other, (h, h + 1), splits, no),
         )
 
     def _successor(
@@ -473,7 +461,6 @@ class Timeline:
         changed: tuple[int, ...],
         splits: int,
         observation: tuple[str, bool] | None,
-        sensing_result: tuple[str, bool] | None,
     ) -> Timeline:
         self.compiled.close_layer(rules, masks, changed)
         if self.checks:
@@ -487,7 +474,7 @@ class Timeline:
             assert again == masks, "a new layer was not closed"
         return Timeline(
             self.compiled, tuple(masks), rules, splits, self.checks,
-            self, names, observation, sensing_result,
+            self, names, observation,
         )
 
     def chain(self) -> list[Timeline]:
@@ -557,7 +544,6 @@ class EpistemicState:
         self.compiled = compiled
 
         self.horizon = 0
-        self.events: tuple[BranchEvent, ...] = ()
         root = Branch(parent=None, created_at=-1, timeline=Timeline.start(compiled, checks))
         self.branches: dict[int, Branch] = {0: root}
         self.inconsistent = root.timeline.inconsistent
@@ -631,26 +617,21 @@ class EpistemicState:
 
         branches: dict[int, Branch] = {}
         children: list[tuple[int, Branch]] = []
-        taken = set(self.branches)
-        events = self.events
+        # children take the smallest unused index above their parent;
+        # the indices are always 0..k, so that is the next one, k + 1
+        child_id = len(self.branches)
         for br, successors in stepped:
             old = self.branches[br]
             branches[br] = Branch(old.parent, old.created_at, successors[0])
             if len(successors) == 1:
                 continue
-            # children take the smallest unused index above their parent
-            child_id = br + 1
-            while child_id in taken:
-                child_id += 1
             if child_id > self.max_branches:
                 raise BranchBudgetError(
                     f"sensing on branch {br} needs branch {child_id}, "
                     f"but only {self.max_branches} are allowed"
                 )
-            taken.add(child_id)
-            no = successors[1]
-            children.append((child_id, Branch(br, h, no)))
-            events = events + (BranchEvent(h, br, child_id, no.observation[0]),)
+            children.append((child_id, Branch(br, h, successors[1])))
+            child_id += 1
         branches.update(children)
 
         nxt = object.__new__(EpistemicState)
@@ -660,7 +641,6 @@ class EpistemicState:
         nxt.checks = self.checks
         nxt.compiled = self.compiled
         nxt.horizon = h + 1
-        nxt.events = events
         nxt.branches = branches
         nxt.inconsistent = any(b.timeline.inconsistent for b in branches.values())
         if nxt.checks:
@@ -722,11 +702,11 @@ class EpistemicState:
                         out.append(f"apply({ep.id},{t},{bid})")
                 if sensing:
                     out.append(f"sOcc({t},{bid})")
-                if t >= b.created_at and link.sensing_result is not None:
-                    fluent, value = link.sensing_result
-                    out.append(f"sRes({Literal(fluent, value)},{t},{bid})")
-        for ev in self.events:
-            out.append(f"nextBr({ev.step},{ev.parent},{ev.child})")
+                seen = link.observation
+                if t >= b.created_at and seen and (seen[1] or link.splits > link.prev.splits):
+                    out.append(f"sRes({Literal(*seen)},{t},{bid})")
+            if b.parent is not None:
+                out.append(f"nextBr({b.created_at},{b.parent},{bid})")
         return sorted(out)
 
     def knows_atoms(self) -> Iterator[tuple[Literal, int, int, int]]:
@@ -750,6 +730,9 @@ class EpistemicState:
 
         Closure idempotence is asserted by every checked timeline step.
         """
+        assert sorted(self.branches) == list(range(len(self.branches))), (
+            "branch indices are not 0..k"
+        )
         for bid, b in self.branches.items():
             chain = b.timeline.chain()
             assert len(chain) == self.horizon + 1, "chain length mismatch"
@@ -770,14 +753,12 @@ class EpistemicState:
                 assert chain[b.created_at] is parent.timeline.chain()[b.created_at], (
                     f"branch {bid} does not inherit its parent's history"
                 )
-        for ev in self.events:
-            parent = self.branches[ev.parent]
-            child = self.branches[ev.child]
-            assert child.layer(ev.step) == parent.layer(ev.step), (
-                "split layer diverged from parent"
-            )
-            assert self.knows(Literal(ev.fluent, True), ev.step, ev.parent, ev.step + 1)
-            assert self.knows(Literal(ev.fluent, False), ev.step, ev.child, ev.step + 1)
+                at = b.created_at
+                assert b.layer(at) == parent.layer(at), "split layer diverged from parent"
+                # the split fluent is the observation of the branch's own split link
+                fluent = chain[at + 1].observation[0]
+                assert self.knows(Literal(fluent, True), at, b.parent, at + 1)
+                assert self.knows(Literal(fluent, False), at, bid, at + 1)
         if previous is not None:
             for bid, old in previous.branches.items():
                 new = self.branches[bid].timeline.chain()

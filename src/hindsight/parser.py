@@ -216,16 +216,20 @@ def _parse_literal_node(node, builder: _DomainBuilder, what: str) -> Literal:
     return lit
 
 
+def _parse_literals(nodes, builder: _DomainBuilder, what: str) -> tuple[Literal, ...]:
+    """Every literal of `nodes`, read one after another."""
+    lits: list[Literal] = []
+    i = 0
+    while i < len(nodes):
+        lit, i = _parse_literal(nodes, i, builder, what)
+        lits.append(lit)
+    return tuple(lits)
+
+
 def _parse_condition(node, builder: _DomainBuilder) -> tuple[Literal, ...]:
     """A condition is either a single literal or (and lit ...)."""
     if isinstance(node, _List) and node.items and isinstance(node.items[0], _Atom) and node.items[0].text == "and":
-        lits: list[Literal] = []
-        rest = list(node.items[1:])
-        i = 0
-        while i < len(rest):
-            lit, i = _parse_literal(rest, i, builder, "condition literal")
-            lits.append(lit)
-        return tuple(lits)
+        return _parse_literals(node.items[1:], builder, "condition literal")
     return (_parse_literal_node(node, builder, "condition"),)
 
 
@@ -307,8 +311,6 @@ def parse_domain(text: str) -> PlanningDomain:
     """Parse a domain description; raises ParseError with a source span."""
     try:
         forms = _read_forms(_tokenize(text))
-    except ParseError:
-        raise
     except RecursionError:
         raise ParseError("input too deeply nested", SourceSpan(1, 1)) from None
 
@@ -350,29 +352,20 @@ def parse_domain(text: str) -> PlanningDomain:
                     lit, i = _parse_literal(rest, i, builder, "init literal")
                     builder.init.append(lit)
         elif key == "oneof":
-            rest = list(form.items[1:])
-            lits: list[Literal] = []
-            i = 0
-            while i < len(rest):
-                lit, i = _parse_literal(rest, i, builder, "oneof literal")
-                lits.append(lit)
-            builder.oneofs.append(OneofConstraint(tuple(lits)))
+            lits = _parse_literals(form.items[1:], builder, "oneof literal")
+            builder.oneofs.append(OneofConstraint(lits))
         elif key == ":goal":
             if len(form.items) < 3:
                 raise ParseError(":goal needs a kind and literals", form.span)
             kind_atom = _symbol(form.items[1], "goal kind")
             if kind_atom.text not in ("weak", "strong"):
                 raise ParseError(f"unknown goal kind {kind_atom.text!r}", kind_atom.span)
-            rest = list(form.items[2:])
-            lits = []
+            rest = form.items[2:]
             if len(rest) == 1 and isinstance(rest[0], _List):
-                lits = list(_parse_condition(rest[0], builder))
+                lits = _parse_condition(rest[0], builder)
             else:
-                i = 0
-                while i < len(rest):
-                    lit, i = _parse_literal(rest, i, builder, "goal literal")
-                    lits.append(lit)
-            builder.goals.append(GoalProposition(kind_atom.text, tuple(lits)))
+                lits = _parse_literals(rest, builder, "goal literal")
+            builder.goals.append(GoalProposition(kind_atom.text, lits))
         elif key == ":action":
             action = _parse_action(form, builder)
             if action.name in seen_action_names:

@@ -30,8 +30,7 @@ line calls it and reports from that replay instead of making another.
 
 A plan's branches are numbered in one place, plan_walk, by the rule
 the engine numbers its branches with.  Atoms (extract_atoms), output
-records (plan_records), the shape check and the replay all read the
-plan through it.
+records (plan_records) and the replay all read the plan through it.
 """
 
 from __future__ import annotations
@@ -295,29 +294,6 @@ class VerificationReport:
         return self.plan_found and not self.errors
 
 
-def _shape_errors(domain: PlanningDomain, plan: ConditionalPlan) -> list[str]:
-    problems: list[str] = []
-    for _t, _br, step, _child in plan_walk(plan):
-        if len(set(step.actions)) != len(step.actions):
-            problems.append(f"repeated action in step {step.actions}")
-        try:
-            fluent = _sensed_fluent(domain, step.actions, f"in step {step.actions}")
-        except PlanFormatError as exc:
-            problems.append(str(exc))
-        else:
-            if fluent is not None and step.sensed != fluent:
-                problems.append(
-                    f"step {step.actions} senses '{fluent}' but is labelled {step.sensed!r}"
-                )
-            elif fluent is None and step.sensed is not None:
-                problems.append(
-                    f"step {step.actions} is labelled as sensing {step.sensed!r}"
-                )
-        if step.on_false is not None and step.sensed is None:
-            problems.append("split without a sensed fluent")
-    return problems
-
-
 def verify_plan(
     domain: PlanningDomain,
     plan: ConditionalPlan,
@@ -330,12 +306,18 @@ def verify_plan(
     The replay drives all branches simultaneously, exactly as execution
     would, each step with the occurrences plan_walk numbers for it; once
     every timeline is done the remaining steps idle, which never loses
-    knowledge.  After each step the engine's new splits must be the
-    plan's: where they differ, plan_walk's numbering no longer matches
-    the engine's, so the replay stops there.  The weak goal must hold on
-    some branch at the final step and the strong goal on all of them.
+    knowledge.  The engine rejects occurrences it cannot apply.  After
+    each step, every plan step must match the link the engine made for
+    its branch: the fluent it observed, the value it observed when the
+    plan does not split, and whether it split.  Where the splits differ,
+    plan_walk's numbering no longer matches the engine's, so the replay
+    stops there.  The weak goal must hold on some branch at the final
+    step and the strong goal on all of them.
     """
-    errors = _shape_errors(domain, plan)
+    errors: list[str] = []
+    # plan_walk continues a split only on a step that names its fluent
+    if any(st.on_false is not None and st.sensed is None for _, _, st, _ in plan_walk(plan)):
+        errors.append("split without a sensed fluent")
     state = initial_state(domain, max_steps, max_branches, checks)
     if not errors:
         rows: dict[int, list] = {}
@@ -343,7 +325,6 @@ def verify_plan(
             rows.setdefault(row[0], []).append(row)
         for t in range(max_steps):
             now = rows.get(t, ())
-            before = state
             try:
                 state = state.step({br: step.actions for _, br, step, _ in now})
             except EngineError as exc:
@@ -352,9 +333,20 @@ def verify_plan(
             if state.inconsistent:
                 errors.append(f"step {t}: knowledge became contradictory")
                 break
-            split = {ev.parent for ev in state.events[len(before.events):]}
+            split = {b.parent for b in state.branches.values() if b.created_at == t}
             for _, br, step, child in now:
-                if br in split and child is None:
+                seen = state.branches[br].timeline.observation
+                if seen is not None and step.sensed != seen[0]:
+                    errors.append(
+                        f"step {t}: {step.actions} senses '{seen[0]}' on branch {br} "
+                        f"but is labelled {step.sensed!r}"
+                    )
+                elif seen is None and step.sensed is not None:
+                    errors.append(
+                        f"step {t}: {step.actions} on branch {br} is labelled as "
+                        f"sensing {step.sensed!r}"
+                    )
+                elif br in split and child is None:
                     errors.append(
                         f"step {t}: sensing '{step.sensed}' on branch {br} "
                         "came out unknown but the plan has one continuation"
@@ -363,6 +355,11 @@ def verify_plan(
                     errors.append(
                         f"step {t}: the plan splits on '{step.sensed}' at "
                         f"branch {br}, but its value was already known"
+                    )
+                elif seen is not None and child is None and bool(step.outcome) != seen[1]:
+                    errors.append(
+                        f"step {t}: the plan takes '{seen[0]}' to be {bool(step.outcome)} "
+                        f"on branch {br}, but it was known to be {seen[1]}"
                     )
             if errors:
                 break
@@ -474,8 +471,8 @@ def _make_solver(
     A split is refused when replay would number its false side above
     `max_branches`.  Replay gives a child the smallest unused index
     above its parent, which keeps the indices of any state contiguous
-    from 0 (0..len(events)), so a new child always takes the number of
-    splits so far plus one.  The state a search node stands for holds
+    from 0 (0..k after k splits), so a new child always takes the number
+    of splits so far plus one.  The state a search node stands for holds
     exactly the splits on the way to it, which both sides of a split
     count in `Timeline.splits`; hence the check `splits + 1 >
     max_branches`.

@@ -571,7 +571,11 @@ def test_criterion_9_invariants_held_on_every_checked_state():
         # only the color_1-negative timeline splits again: on the positive
         # one, postdiction pinned disease_1, so color_2 is already known
         # false and the second test has a known outcome
-        assert [(e.parent, e.child, e.fluent) for e in state.events] == [
+        assert [
+            (b.parent, bid, b.timeline.chain()[b.created_at + 1].observation[0])
+            for bid, b in sorted(state.branches.items())
+            if b.parent is not None
+        ] == [
             (0, 1, "color_1"),
             (1, 2, "color_2"),
         ]

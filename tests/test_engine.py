@@ -515,7 +515,11 @@ def _multi_branch_walk(domain, max_steps, max_branches, rng, digest, tally):
                 digest.update(b"rejected\n")
                 continue
             break
-        split = {ev.parent: ev for ev in nxt.events[len(state.events):]}
+        split = {
+            b.parent: (bid, b.timeline.observation[0])
+            for bid, b in nxt.branches.items()
+            if b.created_at == h
+        }
         for br, names in occ.items():
             acts[br][h] = names
             a = picks[br]
@@ -524,8 +528,8 @@ def _multi_branch_walk(domain, max_steps, max_branches, rng, digest, tally):
                 known = state.sensing_outcome(br, fluent)
                 seen[br][h] = (fluent, known is not False)
             if br in split:
-                child = split[br].child
-                acts[child], seen[child] = {}, {h: (split[br].fluent, False)}
+                child, fluent = split[br]
+                acts[child], seen[child] = {}, {h: (fluent, False)}
                 tally["nested"] += state.branches[br].parent is not None
         state = nxt
         tally["states"] += 1

@@ -118,9 +118,18 @@ def test_two_rooms_close_and_lock_everything_in_five_steps():
     assert count_occurrences(plan) == 5
 
 
-def test_redundant_action_pruning_leaves_the_ring_plan_unchanged():
-    dom = generate_rings(2)
-    bounds = benchmark_bounds("rings", 2)
+@pytest.mark.parametrize(
+    "family,n",
+    [("bomb", n) for n in (4, 5, 6)]
+    + [("rings", n) for n in (2, 3)]
+    + [("sickness", n) for n in (3, 4, 5)],
+)
+def test_redundant_action_pruning_leaves_the_benchmark_plans_unchanged(family, n):
+    """The README promises that `--optimize` pruning changes no plan of
+    the benchmark families; these are the ladder's rungs."""
+    generate = {"bomb": generate_bomb, "rings": generate_rings, "sickness": generate_sickness}
+    dom = generate[family](n)
+    bounds = benchmark_bounds(family, n)
     assert find_plan(dom, *bounds, prune=True) == find_plan(dom, *bounds)
 
 
@@ -158,7 +167,7 @@ def test_four_diseases_fan_out_into_one_leaf_branch_each():
     plan = find_plan(dom, *bounds)
     report = verify_plan(dom, plan, *bounds)
     assert report.plan_found
-    assert len(report.state.events) + 1 == 4
+    assert sum(b.parent is not None for b in report.state.branches.values()) + 1 == 4
     assert len(report.state.branches) == 4
 
 

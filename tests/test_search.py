@@ -351,8 +351,8 @@ def _reference_first_plan(domain, horizon, max_branches, concurrent, occ_budget,
             if nxt.inconsistent:
                 continue
             remaining = None if occ_budget is None else occ_budget - cost
-            new_events = nxt.events[len(state.events):]
-            if not new_events:
+            new_branches = [(bid, b) for bid, b in nxt.branches.items() if b.created_at == t]
+            if not new_branches:
                 for sub, sub_cost, sub_splits in solve(
                     nxt, branch, t + 1, weak_required, remaining, split_budget
                 ):
@@ -360,7 +360,8 @@ def _reference_first_plan(domain, horizon, max_branches, concurrent, occ_budget,
                 continue
             if split_budget is not None and split_budget < 1:
                 continue
-            event = new_events[0]
+            child, born = new_branches[0]
+            fluent = born.timeline.observation[0]
             splits_left = None if split_budget is None else split_budget - 1
             orders = ((True, False), (False, True)) if weak_required and weak else ((False, False),)
             for parent_weak, child_weak in orders:
@@ -370,10 +371,10 @@ def _reference_first_plan(domain, horizon, max_branches, concurrent, occ_budget,
                     rem2 = None if remaining is None else remaining - p_cost
                     sb2 = None if splits_left is None else splits_left - p_splits
                     for c_plan, c_cost, c_splits in solve(
-                        nxt, event.child, t + 1, child_weak, rem2, sb2
+                        nxt, child, t + 1, child_weak, rem2, sb2
                     ):
                         yield (
-                            Step(acts, event.fluent, None, p_plan, c_plan),
+                            Step(acts, fluent, None, p_plan, c_plan),
                             cost + p_cost + c_cost,
                             1 + p_splits + c_splits,
                         )
@@ -651,6 +652,27 @@ def test_replay_rejects_a_plan_that_splits_on_a_known_value():
     report = verify_plan(opened, plan, 2, 1)
     assert not report.ok
     assert any("already known" in e for e in report.errors)
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_replay_rejects_a_sensing_outcome_the_engine_did_not_observe(value):
+    """A look at a known value does not split, and the plan's `outcome`
+    must be that value: it decides the sRes atom extract_atoms writes."""
+    lit = "open" if value else "¬open"
+    d = parse_domain(
+        f"(:init {lit}) (:action look :observe open) "
+        f"(:action act :executable (and {lit}) :effect g) (:goal strong g)"
+    )
+    plan = Step(("look",), "open", not value, Step(("act",)), None)
+    report = verify_plan(d, plan, 3, 1)
+    assert not report.ok
+    assert any("known to be" in e for e in report.errors), report.errors
+    # the plan with the observed outcome replays to its own atoms
+    fixed = dataclasses.replace(plan, outcome=value)
+    report = verify_plan(d, fixed, 3, 1)
+    assert report.ok
+    replayed = [a for a in report.state.all_atoms() if a.startswith(("occ(", "sRes(", "nextBr("))]
+    assert replayed == extract_atoms(fixed)
 
 
 def test_replay_rejects_a_plan_missing_the_surprise_continuation():
