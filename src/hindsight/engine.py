@@ -52,14 +52,44 @@ yet known to hold, or of every condition when all are known.
 Closure is incremental.  All rules are monotone, so a layer has one
 least fixpoint above its starting rows, and any order of rule
 application that stops only when no rule adds anything reaches it.
-Layer h+1 starts as a copy of layer h, which is already closed over
-the pairs below h, plus the sensing result at h and an empty row h+1.
-A rule reads and writes only its own pair (or point 0), so the only
-rules that can fire at first are those touching a changed point; a
-worklist over pairs starts there, and a pair that changes a row
-requeues the pairs sharing that row (and the oneof rule for point 0).
-Seeding with every point instead closes a layer from scratch, which
-the assertion-checked build uses to confirm the incremental result.
+Layer h+1 starts as layer h, which is already closed over the pairs
+below h, plus the sensing result at h and an empty row h+1.
+
+A step that does not split (no sensor, or a look at a value already
+known) adds nothing to row h, and then one pass of the pair rules is
+the closure: row h+1 is what persists from row h (every literal whose
+complement no applied effect may have produced) plus the effect of
+every rule whose conditions row h holds, and the new layer shares the
+old rows.  With row h fixed that pass is the pair's fixpoint, because
+the rules that read row h+1 write only row h, and none of them can add
+to row h:
+
+* backward persistence carries back only literals that no applied
+  effect may have produced; a persisted one is in row h already, and a
+  caused effect possibly fired;
+* positive postdiction needs an effect in row h+1 and its complement
+  in row h, so the effect did not persist (row h is consistent) but was
+  caused; the interference rules allow one producer per literal per
+  step, so its own rule caused it, whose conditions row h holds;
+* negative postdiction needs an effect's complement in row h+1, which
+  persisted only if the effect's rule did not possibly fire, or was
+  caused by an opposite rule, whose conditions the interference rules
+  require to exclude this rule's; either way row h holds the
+  complement of one of the rule's conditions, and that condition,
+  already known false, is the only one the rule can blame.
+
+Row h+1 has no clash either: a literal persists only if its complement
+did not possibly fire, while a caused effect did, and two opposite
+caused effects would need row h to hold mutually exclusive conditions.
+So only the new row is tested for a clash.
+
+A split adds a sensing result to row h, so the rules may postdict into
+the past: a worklist over pairs starts at the changed points h and
+h+1, and a pair that changes a row requeues the pairs sharing that row
+(and the oneof rule for point 0).  Seeding with every point instead
+closes a layer from scratch, which the assertion-checked build uses to
+confirm both paths: for a step that does not split, that no row <= h
+changes and row h+1 is the one-pass row.
 """
 
 from __future__ import annotations
@@ -138,6 +168,14 @@ def _possibly_fired(rules: tuple, row: int) -> int:
         if not row & falsifier:
             mask |= eff
     return mask
+
+
+def _clashes(compiled: CompiledDomain, rows: Iterable[int]) -> bool:
+    """Does some row hold a literal and its complement?"""
+    clash = 0
+    for row in rows:
+        clash |= row & (row >> 1)
+    return bool(clash & compiled.even)
 
 
 class CompiledAction:
@@ -238,7 +276,8 @@ class CompiledDomain:
         `rules[t]` holds the compiled rules of step t; `masks[t]` is the
         layer's row for time t.  Every rule touching a time point outside
         `changed` must already hold on the layer; passing every point
-        closes it from scratch.
+        closes it from scratch.  Time zero and the two sides of a split
+        close here; a step that does not split needs only `forward_row`.
         """
         last = len(rules)  # pairs (t, t+1) for t < last
         pending = 0  # bit t: pair (t, t+1) is queued
@@ -272,6 +311,17 @@ class CompiledDomain:
                 masks[t + 1] = hi
                 if t + 1 < last:
                     pending |= 1 << (t + 1)
+
+    def forward_row(self, rules: tuple, row: int) -> int:
+        """Row h+1 of a step that does not split, from closed row h: every
+        literal of `row` no applied effect may have overturned, and the
+        effect of every rule whose conditions `row` holds.  One pass of
+        `_close_pair` with row h fixed, which is its fixpoint."""
+        nxt = row & ~self.complement(_possibly_fired(rules, row))
+        for cond, _falsifier, eff, _effc, _lone in rules:
+            if row & cond == cond:
+                nxt |= eff
+        return nxt
 
     def _close_pair(self, rules: tuple, lo: int, hi: int) -> tuple[int, int]:
         """Close rows t (`lo`) and t+1 (`hi`) under the rules of step t:
@@ -327,10 +377,17 @@ class Timeline:
     `observation` is the (fluent, value) that step observed.  The engine
     derived a sensing result from it when the value is true or the step
     split (`splits` above `prev.splits`), and none from a look at a
-    value already known false.  An inconsistent timeline cannot be
-    stepped.  With `checks`, every step re-closes its new layer from
-    scratch and asserts that the incremental closure missed nothing and
-    that no knowledge shrank.
+    value already known false.  `inconsistent` says that some row holds
+    a literal and its complement; such a timeline cannot be stepped.
+
+    A step that does not split appends its one-pass row h+1 to the old
+    rows, which it shares; a split closes each side's layer with the
+    worklist (see the module docstring).  With `checks`, a step that
+    does not split asserts that its new row has no clash and that
+    closing the old rows and an empty row h+1 from scratch changes no
+    row <= h and gives its row h+1; a split re-closes each new layer
+    from scratch and asserts that the worklist missed nothing and that
+    no knowledge shrank.
     """
 
     __slots__ = (
@@ -353,6 +410,7 @@ class Timeline:
         rules: tuple,
         splits: int,
         checks: bool,
+        inconsistent: bool,
         prev: Timeline | None = None,
         names: tuple[str, ...] = (),
         observation: tuple[str, bool] | None = None,
@@ -366,10 +424,7 @@ class Timeline:
         self.prev = prev
         self.names = names
         self.observation = observation
-        clash = 0
-        for row in layer:
-            clash |= row & (row >> 1)
-        self.inconsistent = bool(clash & compiled.even)
+        self.inconsistent = inconsistent
 
     @classmethod
     def start(cls, compiled: CompiledDomain, checks: bool) -> Timeline:
@@ -377,7 +432,7 @@ class Timeline:
         constraints."""
         masks = [compiled.init]
         compiled.close_layer((), masks, (0,))
-        return cls(compiled, tuple(masks), (), 0, checks)
+        return cls(compiled, tuple(masks), (), 0, checks, _clashes(compiled, masks))
 
     def step(self, names: Sequence[str], branch: int = 0) -> tuple[Timeline, ...]:
         """Apply the actions `names` (none: idle) for one step.
@@ -429,40 +484,54 @@ class Timeline:
                 )
                 rules = tuple(r for a in acts for r in a.rules)
 
-        # open layer h+1 as a copy of closed layer h, add sensing
-        # knowledge, and close it from the points that differ: h+1
-        # always, h when a sensing result landed there
         history = self.rules + (rules,)
-        masks = [*self.layer, 0]
-        if sensed < 0:
-            return (self._successor(names, history, masks, (h + 1,), self.splits, None),)
-        fluent = compiled.fluents[sensed >> 1]
-        yes, no = (fluent, True), (fluent, False)
-        if row >> sensed & 1:
-            masks[h] |= 1 << sensed
-            return (self._successor(names, history, masks, (h, h + 1), self.splits, yes),)
-        if row >> (sensed ^ 1) & 1:
-            # the look changes nothing: its outcome was already known
-            return (self._successor(names, history, masks, (h + 1,), self.splits, no),)
-        other = list(masks)
-        masks[h] |= 1 << sensed
-        other[h] |= 1 << (sensed ^ 1)
-        splits = self.splits + 1
+        observation = None
+        if sensed >= 0:
+            # a look at a value already known changes nothing
+            fluent = compiled.fluents[sensed >> 1]
+            if row >> sensed & 1:
+                observation = (fluent, True)
+            elif row >> (sensed ^ 1) & 1:
+                observation = (fluent, False)
+            else:
+                splits = self.splits + 1
+                return (
+                    self._split(names, history, sensed, splits, (fluent, True)),
+                    self._split(names, history, sensed ^ 1, splits, (fluent, False)),
+                )
+        # no split: row h+1 is the only new row, and the old rows are shared
+        new = compiled.forward_row(rules, row)
+        layer = self.layer + (new,)
+        inconsistent = _clashes(compiled, (new,))
+        if self.checks:
+            # internal invariants; violations are engine bugs, hence asserts
+            assert not inconsistent, "a step that does not split made a clash"
+            # the closure from scratch of the old rows and an empty row h+1
+            # changes no row <= h and gives row h+1 exactly
+            again = [*self.layer, 0]
+            compiled.close_layer(history, again, range(len(again)))
+            assert tuple(again) == layer, "a step that does not split was not closed"
         return (
-            self._successor(names, history, masks, (h, h + 1), splits, yes),
-            self._successor(names, history, other, (h, h + 1), splits, no),
+            Timeline(
+                compiled, layer, history, self.splits, self.checks, inconsistent,
+                self, names, observation,
+            ),
         )
 
-    def _successor(
+    def _split(
         self,
         names: tuple[str, ...],
         rules: tuple,
-        masks: list[int],
-        changed: tuple[int, ...],
+        bit: int,
         splits: int,
-        observation: tuple[str, bool] | None,
+        observation: tuple[str, bool],
     ) -> Timeline:
-        self.compiled.close_layer(rules, masks, changed)
+        """One side of a split: layer h with this side's sensing result
+        `bit` added to row h and an empty row h+1, closed from both."""
+        h = self.horizon
+        masks = [*self.layer, 0]
+        masks[h] |= 1 << bit
+        self.compiled.close_layer(rules, masks, (h, h + 1))
         if self.checks:
             # internal invariants; violations are engine bugs, hence asserts
             for old, new in zip(self.layer, masks):
@@ -474,7 +543,7 @@ class Timeline:
             assert again == masks, "a new layer was not closed"
         return Timeline(
             self.compiled, tuple(masks), rules, splits, self.checks,
-            self, names, observation,
+            _clashes(self.compiled, masks), self, names, observation,
         )
 
     def chain(self) -> list[Timeline]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import pathlib
@@ -384,3 +385,95 @@ def test_generated_domain_mutations_exit_cleanly(tmp_path):
             assert code in (0, 1, 2), (mode, text, err.getvalue())
 
     solve_cleanly()
+
+
+# -- pinned ladder outputs ----------------------------------------------------
+
+# The benchmark ladder's rungs solved through the CLI as the benchmark
+# runs them, plus a trace: sha256 of the json-lines output (run report
+# without wall_seconds), of the trace file and of the emitted program,
+# taken while every step still closed its layer with the worklist.  A
+# change that must leave plans, traces and programs unchanged keeps
+# these; append new rungs so that existing ids keep their names.
+LADDER_DIGESTS = {
+    "smarthome": (
+        "102dc0f7f1a9e8156b22468849e8c3e01285e64f9fd397ed537b8c2ff0a7d29d",
+        "82b3a8cc04fa069c5f55e20a9ebc31e1e72de73a0ba1eb0ea9c56252c9bacac6",
+        "60c7290b4370e1f329baef78695d37811be122945bd5470a69758189ff65ef2f",
+    ),
+    "bomb(4)": (
+        "a566b863ea750bd3ff257dc2bbd0ad5230f1bb445ca9ad103f41a38702098361",
+        "ab462b0f8b56eb20f142a5782e287eac3f3b1662667449e2ef7ef9eb307ecb30",
+        "f294431975a0a960ba58ab6e5892ca3cde8b6bd44217522125b2912fc15e2ac8",
+    ),
+    "bomb(5)": (
+        "7afad8f23e20d4580446e6a048299c0e9e83a7c88eabe7e71c41c6110d26f2a0",
+        "3b9da0b7c5623cdb7d6199f4e0ab5461b4554f72fa2dc26f10dab309cf0d956d",
+        "4b7295199efb5df53b9f4b2df205eb1b04f2303764a544174e9051dd56bce83c",
+    ),
+    "bomb(6)": (
+        "2942fde88f296b87e6f22ed3b08a08bc60d71cb939a0e50717b0f85a2308bf26",
+        "464f4152c0231c396abaae57d1816146ca896e65047a59fbe1c57ec8ef1c40a5",
+        "6bc0dfd1b6f971b3450e75b2536851f819f2ada0b0f42365b1335e219e0469e1",
+    ),
+    "rings(2)": (
+        "951fb8e43a5cf2c18857d305270ba181a48c98ec59fe41db1dc5f9e81f162354",
+        "308b971919e3ad9dc2848458a5fc91888b4ba200cc1dcf51cfc2093dc5eabf16",
+        "69c58c19a12e9911bde7dba22a27c5478ae8b53bd98166deccbd886662958523",
+    ),
+    "rings(3)": (
+        "49ab3ce96dfbe5721927138c26f1b788c1c69589622c73f5c0ce9c43a7dc0dbb",
+        "c38778c13a9d0457917e62340aaf0050e2e275ddb37d5d43235d84ed6cf2584b",
+        "68b955af644f00b13edc376a2910ecd7d31753a34e0e1dab27eb122b6a3ef0a7",
+    ),
+    "sickness(3)": (
+        "c242cc861c26d96ff00d6eca7603f49560222fade9af43c252fc3dbca4ff5c6c",
+        "d8a172576216f6e5ffb94c698c24b8335f54d4b6bd7667faadb72032f4576131",
+        "8ead6787eec5dca5671c15fb5fd8e255ddddd821064eef692423357260aeb271",
+    ),
+    "sickness(4)": (
+        "38993079bc756767fb0dccabce38e65719c33297eb2863de34a0c8212e83911b",
+        "b41286665cf005ae641059154f06ae0cbaa6e5a68728278a718dd9e92aac0c58",
+        "6484b0451c3eebec28c4a5e0a2aa445243fc43c82a5a7b082abae238282dfbdc",
+    ),
+    "sickness(5)": (
+        "94db8774cb4a75a020d69c800c0ded96965ed8dac4d5c39504605ed1151b3c99",
+        "4da82a8808bb5b06983e86ae537ea37eff79bb37a2f71bac5f31671d4ff5279f",
+        "634b368dfa041473931964618beb2cec19ba6e6c61e6c4005152aedcdd26fcfb",
+    ),
+}
+
+
+def _ladder_text(rung: str) -> tuple[str, tuple[int, int]]:
+    from hindsight import generators
+    from hindsight.parser import render_domain
+
+    if rung == "smarthome":
+        return pathlib.Path(DOOR).read_text(encoding="utf-8"), (3, 1)
+    family, n = rung.rstrip(")").split("(")
+    domain = getattr(generators, f"generate_{family}")(int(n))
+    return render_domain(domain), generators.benchmark_bounds(family, int(n))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("rung", list(LADDER_DIGESTS))
+def test_ladder_rungs_keep_their_pinned_outputs(capsys, tmp_path, monkeypatch, rung):
+    text, (steps, branches) = _ladder_text(rung)
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("d.hpx").write_text(text, encoding="utf-8")
+    code, out, _ = run(capsys, "solve", "d.hpx", "--max-steps", str(steps),
+                       "--max-branches", str(branches), "--oracle-check",
+                       "--emit-asp", "d.lp", "--trace", "d.trace",
+                       "--format", "json-lines")
+    assert code == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    del records[-1]["wall_seconds"]
+    digests = (
+        _sha256(json.dumps(records, sort_keys=True)),
+        _sha256(pathlib.Path("d.trace").read_text(encoding="utf-8")),
+        _sha256(pathlib.Path("d.lp").read_text(encoding="utf-8")),
+    )
+    assert digests == LADDER_DIGESTS[rung]

@@ -26,6 +26,7 @@ from hindsight.model import (
     Action,
     EffectProposition,
     KnowledgeProposition,
+    Literal,
     OneofConstraint,
     PlanningDomain,
     neg,
@@ -405,6 +406,26 @@ def test_negative_postdiction_never_blames_a_repeated_condition_alone():
     assert not outcome((pos("open"), pos("open")))
 
 
+def test_checked_stepping_catches_a_forward_row_that_drops_causation(monkeypatch):
+    from hindsight import engine
+
+    def persistence_only(self, rules, row):
+        # the one-pass row of a step that does not split, without causation
+        return row & ~self.complement(engine._possibly_fired(rules, row))
+
+    monkeypatch.setattr(engine.CompiledDomain, "forward_row", persistence_only)
+
+    def narrative(checks):
+        s = initial_state(door_domain(), max_steps=3, max_branches=1, checks=checks)
+        return s.step({0: ["open_door"]}).step({0: ["sense_open"]}).step({0: ["drive"]})
+
+    # unchecked, driving through the open door no longer gets anyone in ...
+    assert not narrative(False).knows(pos("in_liv"), 3, 0)
+    # ... and the checked build notices that the new row was not closed
+    with pytest.raises(AssertionError, match="does not split was not closed"):
+        narrative(True)
+
+
 # Pinned from the whole-layer sweep closure that preceded the worklist
 # closure.  The 1000-domain walk reaches 37596 states; the digest covers
 # the first 300 domains only, because rendering the atoms of every state
@@ -559,3 +580,87 @@ def test_multi_branch_walks_read_their_history_off_the_timeline_chain():
     # 27 splits were made by a branch that was itself a split's child
     assert tally == {"states": 3300, "rejected": 1582, "nested": 27}
     assert digest.hexdigest() == MULTI_WALK_DIGEST
+
+
+def test_random_walks_beyond_criterion_2_stay_monotone_and_sound():
+    """Random domains of up to 6 fluents and random occurrence sequences
+    to depth 7, with concurrent sets and looks at known values, stepped
+    with checks: no step loses a knowledge atom, and every consistent
+    state is sound against the possible worlds."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = {"depth 7": 0, "concurrent": 0, "split": 0, "known look": 0}
+
+    @st.composite
+    def domains(draw):
+        fluents = tuple(f"f{i}" for i in range(1, draw(st.integers(1, 6)) + 1))
+        literal = st.builds(Literal, st.sampled_from(fluents), st.booleans())
+        actions = []
+        for ai in range(1, draw(st.integers(1, 4)) + 1):
+            name = f"a{ai}"
+            executability = tuple(draw(st.lists(literal, max_size=1)))
+            if draw(st.integers(0, 2)) == 0:
+                sensed = KnowledgeProposition(draw(st.sampled_from(fluents)))
+                actions.append(Action(name, knowledge_props=(sensed,), executability=executability))
+                continue
+            eps = tuple(
+                EffectProposition(
+                    f"{name}_{ei}",
+                    draw(literal),
+                    tuple(draw(st.lists(literal, max_size=2, unique_by=lambda lit: lit.fluent))),
+                )
+                for ei in range(1, draw(st.integers(1, 3)) + 1)
+            )
+            actions.append(Action(name, effect_props=eps, executability=executability))
+        known = draw(st.lists(st.sampled_from(fluents), unique=True))
+        init = tuple(Literal(f, draw(st.booleans())) for f in known)
+        unknown = [f for f in fluents if f not in known]
+        oneofs = ()
+        if len(unknown) >= 2 and draw(st.booleans()):
+            members = draw(st.lists(st.sampled_from(unknown), min_size=2, max_size=3, unique=True))
+            oneofs = (OneofConstraint(tuple(pos(f) for f in members)),)
+        return PlanningDomain(fluents=fluents, actions=tuple(actions), init=init, oneofs=oneofs)
+
+    # per step, per branch in sorted order, the indices of the actions taken
+    steps = st.lists(
+        st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=4), min_size=7, max_size=7
+    )
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @hypothesis.given(domains(), steps)
+    def walk(domain, picks):
+        state = initial_state(domain, max_steps=7, max_branches=4, checks=True)
+        for step in picks:
+            if state.inconsistent:
+                return
+            occ = {
+                br: sorted({domain.actions[i % len(domain.actions)].name for i in chosen})
+                for br, chosen in zip(sorted(state.branches), step)
+            }
+            # a rejected step (interference, executability or the branch
+            # budget) falls back to fewer actions per branch, down to idling
+            for k in (3, 2, 1, 0):
+                occ = {br: names[:k] for br, names in occ.items()}
+                try:
+                    nxt = state.step(occ)
+                    break
+                except EngineError:
+                    pass
+            assert set(state.knows_atoms()) <= set(nxt.knows_atoms())
+            for b in nxt.branches.values():
+                for t1 in range(nxt.horizon):
+                    for t in range(t1 + 1):
+                        assert b.layer(t1)[t] & ~b.layer(t1 + 1)[t] == 0
+            if not nxt.inconsistent:
+                report = soundness_check(nxt)
+                assert report.ok, report.violations
+            seen["concurrent"] += any(len(names) > 1 for names in occ.values())
+            seen["split"] += len(nxt.branches) > len(state.branches)
+            for br in occ:
+                link = nxt.branches[br].timeline
+                seen["known look"] += bool(link.observation) and link.splits == link.prev.splits
+            state = nxt
+        seen["depth 7"] += state.horizon == 7
+
+    walk()
+    assert all(seen.values()), seen
