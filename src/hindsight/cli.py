@@ -36,6 +36,7 @@ from .model import PlanningDomain, validate_domain
 from .oracle import OracleCapacityError, soundness_check
 from .parser import ParseError, parse_domain
 from .search import (
+    MAX_STEPS,
     PlanSearchError,
     _search,
     count_occurrences,
@@ -58,9 +59,6 @@ EXIT_INTERNAL = 3
 # opt-in because every extra branch multiplies the knowledge state.
 DEFAULT_STEPS = 8
 BRANCH_CAP = 8
-# The search nests about two generator frames per step, so a step budget
-# near 500 overflows Python's default recursion limit of 1000 frames.
-MAX_STEPS = 256
 
 _GENERATORS = {
     "bomb": generate_bomb,

@@ -13,11 +13,13 @@ The dialect, by example::
 Negation is written ``-f``, ``¬f``, or ``(not f)``.  ``;`` starts a
 comment.  Undeclared fluents are collected in first-use order.  Parsing
 is total: any input produces either a domain or a ParseError carrying a
-source position — never a crash.
+source position — never a crash.  Nothing recurses over the input, so
+no depth of nesting and no chain of signs can overflow the stack.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from hindsight.model import (
@@ -48,7 +50,7 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Lexing and reading
+# Reading: text to nested lists of symbols
 
 
 @dataclass(frozen=True)
@@ -63,91 +65,48 @@ class _List:
     span: SourceSpan
 
 
-def _is_symbol_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+# Layout, a symbol, a paren, a bare ':' and any other character.  In a
+# str pattern \w is exactly `ch.isalnum() or ch == "_"` and \s is exactly
+# str.isspace().
+_TOKEN = re.compile(r"(\s+|;[^\n]*)|([-¬]\w*|:\w+|\w+)|([()])|(:)|(.)", re.S)
 
 
-def _tokenize(text: str) -> list:
-    tokens: list = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        if ch.isspace():
-            advance()
-            continue
-        span = SourceSpan(line, col)
-        if ch in "()":
-            tokens.append(_Atom(ch, span))
-            advance()
-            continue
-        if ch in "-¬":
-            advance()
-            start = i
-            while i < n and _is_symbol_char(text[i]):
-                advance()
-            if i > start:
-                tokens.append(_Atom("-" + text[start:i], span))
-            else:
-                # standalone sign, e.g. "¬ in_liv"; glue to the next symbol
-                tokens.append(_Atom("-", span))
-            continue
-        if ch == ":":
-            advance()
-            start = i
-            while i < n and _is_symbol_char(text[i]):
-                advance()
-            if i == start:
-                raise ParseError("':' must start a keyword", span)
-            tokens.append(_Atom(":" + text[start:i], span))
-            continue
-        if _is_symbol_char(ch):
-            start = i
-            while i < n and _is_symbol_char(text[i]):
-                advance()
-            tokens.append(_Atom(text[start:i], span))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", span)
-    return tokens
-
-
-def _read_forms(tokens: list) -> list:
-    """Group a token stream into nested lists; checks paren balance."""
+def _read(text: str) -> list:
+    """The toplevel forms of `text`, parens grouped into _List nodes and
+    symbols as _Atom nodes, a leading '¬' spelled '-'.  A bad character
+    is reported before any paren imbalance."""
     forms: list = []
-    stack: list = []
-    for tok in tokens:
-        if tok.text == "(":
-            stack.append(([], tok.span))
-        elif tok.text == ")":
-            if not stack:
-                raise ParseError("unbalanced ')'", tok.span)
-            items, span = stack.pop()
-            node = _List(tuple(items), span)
-            if stack:
-                stack[-1][0].append(node)
-            else:
-                forms.append(node)
+    items = forms
+    stack: list = []  # (enclosing items, span of the open paren)
+    line, line_start = 1, 0
+    unbalanced = None
+    for m in _TOKEN.finditer(text):
+        kind, tok, start = m.lastindex, m.group(), m.start()
+        if kind == 1:
+            nl = tok.rfind("\n")
+            if nl >= 0:
+                line += tok.count("\n")
+                line_start = start + nl + 1
+            continue
+        span = SourceSpan(line, start - line_start + 1)
+        if kind == 2:
+            items.append(_Atom("-" + tok[1:] if tok[0] == "¬" else tok, span))
+        elif kind == 3:
+            if tok == "(":
+                stack.append((items, span))
+                items = []
+            elif stack:
+                outer, open_span = stack.pop()
+                outer.append(_List(tuple(items), open_span))
+                items = outer
+            elif unbalanced is None:
+                unbalanced = span
+        elif kind == 4:
+            raise ParseError("':' must start a keyword", span)
         else:
-            if stack:
-                stack[-1][0].append(tok)
-            else:
-                forms.append(tok)
+            raise ParseError(f"unexpected character {tok!r}", span)
+    if unbalanced is not None:
+        raise ParseError("unbalanced ')'", unbalanced)
     if stack:
         raise ParseError("unbalanced '('", stack[-1][1])
     return forms
@@ -176,44 +135,39 @@ def _symbol(node, what: str) -> _Atom:
     return node
 
 
-def _parse_literal(nodes: list, pos_: int, builder: _DomainBuilder, what: str) -> tuple[Literal, int]:
-    """Parse one literal starting at nodes[pos_]; returns (literal, next index)."""
-    if pos_ >= len(nodes):
-        raise ParseError(f"missing {what}", SourceSpan(1, 1))
-    node = nodes[pos_]
+def _parse_literal(nodes: list, i: int, builder: _DomainBuilder, what: str) -> tuple[Literal, int]:
+    """Parse one literal starting at nodes[i]; returns (literal, next index).
+
+    A lone sign, the token "¬ f" yields, negates the one node after it."""
+    node = nodes[i]
+    sign = node if isinstance(node, _Atom) and node.text == "-" else None
+    if sign is not None:
+        i += 1
+        if i == len(nodes):
+            raise ParseError(f"missing {what}", sign.span)
+        node = nodes[i]
     if isinstance(node, _List):
-        if len(node.items) == 2 and isinstance(node.items[0], _Atom) and node.items[0].text == "not":
-            inner = _symbol(node.items[1], "fluent")
-            # (not -f) double negation is rejected rather than simplified
-            if inner.text.startswith("-"):
-                raise ParseError("negation inside (not ...)", inner.span)
-            if not inner.text:
-                raise ParseError("empty fluent name", inner.span)
-            builder.touch(inner.text)
-            return Literal(inner.text, False), pos_ + 1
-        raise ParseError(f"expected {what}", node.span)
-    text = node.text
-    if text == "-":
-        # standalone sign produced by "¬ f"; applies to the next symbol
-        lit, nxt = _parse_literal(nodes, pos_ + 1, builder, what)
+        if not (len(node.items) == 2 and isinstance(node.items[0], _Atom) and node.items[0].text == "not"):
+            raise ParseError(f"expected {what}", node.span)
+        inner = _symbol(node.items[1], "fluent")
+        # (not -f) double negation is rejected rather than simplified
+        if inner.text.startswith("-"):
+            raise ParseError("negation inside (not ...)", inner.span)
+        lit = Literal(inner.text, False)
+    elif node.text.startswith("-"):
+        lit = Literal(node.text[1:], False)
+    else:
+        lit = Literal(node.text, True)
+    if sign is not None:
         if not lit.positive:
-            raise ParseError("double negation", node.span)
-        return Literal(lit.fluent, False), nxt
-    if text.startswith("-"):
-        name = text[1:]
-        if not name:
-            raise ParseError("empty fluent name", node.span)
-        builder.touch(name)
-        return Literal(name, False), pos_ + 1
-    builder.touch(text)
-    return Literal(text, True), pos_ + 1
+            raise ParseError("double negation", sign.span)
+        lit = Literal(lit.fluent, False)
+    builder.touch(lit.fluent)
+    return lit, i + 1
 
 
 def _parse_literal_node(node, builder: _DomainBuilder, what: str) -> Literal:
-    lit, nxt = _parse_literal([node], 0, builder, what)
-    if nxt != 1:
-        raise ParseError(f"malformed {what}", node.span)
-    return lit
+    return _parse_literal([node], 0, builder, what)[0]
 
 
 def _parse_literals(nodes, builder: _DomainBuilder, what: str) -> tuple[Literal, ...]:
@@ -309,11 +263,7 @@ def _parse_action(form: _List, builder: _DomainBuilder) -> Action:
 
 def parse_domain(text: str) -> PlanningDomain:
     """Parse a domain description; raises ParseError with a source span."""
-    try:
-        forms = _read_forms(_tokenize(text))
-    except RecursionError:
-        raise ParseError("input too deeply nested", SourceSpan(1, 1)) from None
-
+    forms = _read(text)
     builder = _DomainBuilder()
     declared: list[str] = []
     seen_action_names: dict[str, SourceSpan] = {}
@@ -425,7 +375,8 @@ def render_domain(domain: PlanningDomain) -> str:
         if a.effect_props:
             rendered = []
             for ep in a.effect_props:
-                if ep.conditions:
+                # a bare `when` or `executable` would read back as a keyword
+                if ep.conditions or str(ep.effect) in ("when", "executable"):
                     rendered.append(f"(when {_render_condition(ep.conditions)} {_render_literal(ep.effect)})")
                 else:
                     rendered.append(_render_literal(ep.effect))

@@ -184,21 +184,36 @@ def parse_atoms(domain: PlanningDomain, atoms) -> ConditionalPlan:
         if m is None:
             raise PlanFormatError(f"unreadable atom {raw!r}")
         name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
+        if name not in ("occ", "nextBr", "sRes"):
+            continue
         try:
-            if name == "occ":
-                action, t, br = args[0], int(args[1]), int(args[2])
-                occ.setdefault(br, {}).setdefault(t, []).append(action)
-            elif name == "nextBr":
-                t, parent, child = (int(a) for a in args)
-                if (t, parent) in splits:
-                    raise PlanFormatError(f"two splits at step {t} on branch {parent}")
-                splits[(t, parent)] = child
-            elif name == "sRes":
-                sres.add((args[0], int(args[1]), int(args[2])))
+            if name == "nextBr":
+                t, parent, child = numbers = tuple(int(a) for a in args)
+            else:
+                first, t, br = args[0], int(args[1]), int(args[2])
+                numbers = (t, br)
+            if min(numbers) < 0:
+                raise ValueError
         except (ValueError, IndexError):
             raise PlanFormatError(f"malformed atom {raw!r}") from None
+        if t >= MAX_STEPS:
+            raise PlanFormatError(f"step {t} is beyond the last possible step {MAX_STEPS - 1}")
+        if name == "occ":
+            occ.setdefault(br, {}).setdefault(t, []).append(first)
+        elif name == "sRes":
+            sres.add((first, t, br))
+        elif (t, parent) in splits:
+            raise PlanFormatError(f"two splits at step {t} on branch {parent}")
+        else:
+            splits[(t, parent)] = child
 
-    children = {child: (t, parent) for (t, parent), child in splits.items()}
+    # build() visits each branch once only if each branch but the root
+    # is made by exactly one split
+    children: dict[int, tuple[int, int]] = {}
+    for (t, parent), child in splits.items():
+        if child == 0 or child in children:
+            raise PlanFormatError(f"branch {child} is created twice")
+        children[child] = (t, parent)
     for child, (t, _parent) in children.items():
         acted = [*occ.get(child, {}), *(s for (s, p) in splits if p == child)]
         if any(step <= t for step in acted):
@@ -452,6 +467,13 @@ def _candidates(
             if sensors <= 1:
                 subsets.append(combo)
     return subsets
+
+
+# The solver nests about two generator frames per step, so a step budget
+# near 500 overflows Python's default recursion limit of 1000 frames.
+# The command line caps its step budget here, and parse_atoms, whose
+# build() recurses once per step, rejects any later step.
+MAX_STEPS = 256
 
 
 def _make_solver(

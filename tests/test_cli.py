@@ -273,6 +273,8 @@ GARBAGE = {
     # a static fluent in an effect condition, which --optimize cannot emit
     "static_condition.hpx": "(:action a :effect (when (and s) g)) (:init s ¬g (:static s)) "
     "(:goal strong g)".encode(),
+    # more stacked signs than Python's recursion limit
+    "signs.hpx": ("(:init " + "¬ " * 3000 + "f)").encode(),
 }
 
 
@@ -304,6 +306,9 @@ GARBAGE = {
         (("solve", "triangle.hpx", "--oracle-check", "--max-steps", "1", "--max-branches", "0"), 0),
         # the emitter refuses the domain: the user's input, not a bug
         (("solve", "static_condition.hpx", "--optimize", "--emit-asp", "out.lp"), 2),
+        # the parser reads a sign chain without recursing
+        (("solve", "signs.hpx"), 2),
+        (("validate", "signs.hpx"), 2),
     ],
 )
 def test_garbage_input_and_extreme_budgets_exit_cleanly(

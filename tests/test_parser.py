@@ -14,6 +14,7 @@ from hindsight.model import (
     EffectProposition,
     GoalProposition,
     KnowledgeProposition,
+    Literal,
     OneofConstraint,
     PlanningDomain,
     neg,
@@ -228,6 +229,120 @@ def test_fuzz_round_trip_on_random_well_formed_domains():
             goals=goals,
         )
         assert parse_domain(render_domain(d)) == d
+
+
+@pytest.mark.parametrize("name", ["when", "executable"])
+def test_an_unconditional_effect_on_a_keyword_named_fluent_round_trips(name):
+    d = PlanningDomain(
+        fluents=(name, "g"),
+        actions=(
+            Action("a", effect_props=(EffectProposition("a_1", pos(name)), EffectProposition("a_2", pos("g")))),
+        ),
+        goals=(GoalProposition("weak", (pos(name),)),),
+    )
+    assert validate_domain(d).ok
+    assert parse_domain(render_domain(d)) == d
+
+
+_NAMES = ("f", "g_1", "café", "when", "executable", "and", "not", "oneof", "weak")
+
+
+def test_rendered_domains_parse_back_unchanged():
+    """parse_domain(render_domain(d)) == d on generated domains that
+    validate_domain accepts: oneof groups, statics, repeated literals, and
+    names that are also words of the dialect."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def domains(draw):
+        fluents = tuple(draw(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=6, unique=True)))
+        statics = draw(st.sets(st.sampled_from(fluents), max_size=2))
+        dynamic = [f for f in fluents if f not in statics]
+        literal = st.builds(Literal, st.sampled_from(fluents), st.booleans())
+
+        def condition():
+            lits = draw(st.lists(literal, max_size=3))
+            return tuple(l for l in lits if Literal(l.fluent, not l.positive) not in lits)
+
+        values = draw(st.dictionaries(st.sampled_from(fluents), st.booleans()))
+        values.update({f: draw(st.booleans()) for f in statics if f not in values})
+        init = [Literal(f, v) for f, v in values.items()]
+        if init and draw(st.booleans()):
+            init.append(init[0])
+        actions = []
+        for name in draw(st.lists(st.sampled_from(_NAMES), max_size=4, unique=True)):
+            executability = tuple(draw(st.lists(literal, max_size=2)))
+            if dynamic and draw(st.booleans()):
+                sensed = KnowledgeProposition(draw(st.sampled_from(dynamic)))
+                actions.append(Action(name, knowledge_props=(sensed,), executability=executability))
+                continue
+            effects = tuple(
+                EffectProposition(
+                    f"{name}_{k}",
+                    Literal(draw(st.sampled_from(dynamic)), draw(st.booleans())),
+                    condition(),
+                )
+                for k in range(1, draw(st.integers(0, 3 if dynamic else 0)) + 1)
+            )
+            actions.append(Action(name, effect_props=effects, executability=executability))
+        oneofs = tuple(
+            OneofConstraint(tuple(draw(st.lists(literal, min_size=2, max_size=3, unique=True))))
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        goals = tuple(
+            GoalProposition(draw(st.sampled_from(("weak", "strong"))), condition())
+            for _ in range(draw(st.integers(0, 2)))
+        )
+        return PlanningDomain(fluents, tuple(actions), tuple(init), oneofs, goals, frozenset(statics))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hypothesis.given(domains())
+    def round_trips(d):
+        assert validate_domain(d).ok, validate_domain(d).violations
+        assert parse_domain(render_domain(d)) == d
+
+    round_trips()
+
+
+# ---------------------------------------------------------------------------
+# The reader: positions, symbol characters, error order
+
+
+def _error(text: str) -> tuple[str, tuple[int, int]]:
+    with pytest.raises(ParseError) as err:
+        parse_domain(text)
+    return err.value.message, (err.value.span.line, err.value.span.column)
+
+
+def test_a_lone_sign_that_ends_a_list_is_reported_at_the_sign():
+    assert _error("(:init a\n  b ¬)") == ("missing init literal", (2, 5))
+    assert _error("(:action a :effect ¬)") == ("missing effect literal", (1, 20))
+
+
+def test_positions_count_characters_after_crlf_tab_and_negation_sign():
+    # only \n starts a line; \r, a tab and ¬ are one column each
+    assert _error("(:init a)\r\n\t(:init ¬b ?)") == ("unexpected character '?'", (2, 12))
+    assert _error("(:init a)\r\n\t(:init ¬ ¬ b)") == ("double negation", (2, 9))
+    assert _error("(:init a)\n\n   (:goal weak ¬b ¬ ¬b)") == ("double negation", (3, 19))
+
+
+def test_a_bad_character_after_an_unbalanced_paren_is_reported_first():
+    assert _error("(:init a))\n(:goal weak ?)") == ("unexpected character '?'", (2, 13))
+    assert _error("(:init a))\n(:goal weak :)") == ("':' must start a keyword", (2, 13))
+    assert _error("(:init a))\n(:goal weak b") == ("unbalanced ')'", (1, 10))
+    assert _error("(:init a\n(:goal (weak b)") == ("unbalanced '('", (2, 1))
+
+
+def test_unicode_letters_and_digits_are_symbol_characters():
+    d = parse_domain("(:init ¬café x²)")
+    assert d.fluents == ("café", "x²")
+    assert d.init == (neg("café"), pos("x²"))
+
+
+def test_long_sign_chains_and_deep_nesting_are_parse_errors():
+    assert _error("(:init " + "¬ " * 3000 + "f)") == ("double negation", (1, 8))
+    assert _error("(" * 100_000 + ")" * 100_000) == ("form must start with a keyword", (1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -870,11 +870,73 @@ def test_trailing_idles_are_not_reconstructed():
             ],
             "acts before its split",
         ),
+        (["nextBr(0,1,0)"], "branch 0 is created twice"),
+        (["occ(open_door,-1,0)"], "malformed atom"),
+        (["nextBr(-1,0,1)"], "malformed atom"),
+        (["sRes(open,0,-1)"], "malformed atom"),
+        (["occ(drive,5000,0)"], "step 5000 is beyond the last possible step 255"),
     ],
 )
 def test_bad_atom_sets_are_rejected(atoms, fragment):
     with pytest.raises(PlanFormatError, match=fragment):
         parse_atoms(door_domain(), atoms)
+
+
+def test_the_last_step_under_the_step_limit_parses():
+    plan = parse_atoms(door_domain(), [f"occ(drive,{search.MAX_STEPS - 1},0)"])
+    assert plan_depth(plan) == search.MAX_STEPS
+
+
+def test_a_branch_made_by_two_splits_is_rejected_without_building_it_twice():
+    """Each level below makes its child at two steps; building every copy
+    would take 2**40 calls."""
+    atoms = []
+    for level in range(40):
+        for t in (2 * level, 2 * level + 1):
+            atoms += [f"occ(sense_open,{t},{level})", f"nextBr({t},{level},{level + 1})",
+                      f"sRes(open,{t},{level})", f"sRes(-open,{t},{level + 1})"]
+    with pytest.raises(PlanFormatError, match="created twice"):
+        parse_atoms(door_domain(), atoms)
+
+
+def test_found_plans_round_trip_through_their_atoms_on_the_criterion_2_corpus():
+    from test_acceptance import _random_domain
+
+    solved = 0
+    for i in range(100):
+        d = _random_domain(random.Random(774000 + i))
+        for plan in (find_plan(d, 4, 2), find_optimal_plan(d, 4, 2)):
+            if plan is not None:
+                solved += 1
+                assert parse_atoms(d, extract_atoms(plan)) == plan
+    assert solved > 50
+
+
+def test_random_atom_lists_raise_only_plan_format_errors():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    d = door_domain()
+    number = st.one_of(st.integers(-3, 6), st.sampled_from([-(10**12), 255, 256, 5000, 10**12]))
+    name = st.sampled_from(["open_door", "drive", "sense_open", "fly"])
+    atom = st.one_of(
+        st.builds("occ({},{},{})".format, name, number, number),
+        st.builds("nextBr({},{},{})".format, number, number, number),
+        st.builds("sRes({},{},{})".format, st.sampled_from(["open", "-open", "in_liv"]), number, number),
+    )
+
+    outcomes = {"plan": 0, "refused": 0}
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @hypothesis.given(st.lists(atom, max_size=12))
+    def parses_or_refuses(atoms):
+        try:
+            parse_atoms(d, atoms)
+            outcomes["plan"] += 1
+        except PlanFormatError:
+            outcomes["refused"] += 1
+
+    parses_or_refuses()
+    assert min(outcomes.values()) > 0, outcomes
 
 
 # ---------------------------------------------------------------------------
