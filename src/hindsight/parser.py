@@ -10,11 +10,12 @@ The dialect, by example::
     (:action drive :executable (and open -in_liv) :effect in_liv)
     (:action sense_open :observe open)
 
-Negation is written ``-f``, ``¬f``, or ``(not f)``.  ``;`` starts a
-comment.  Undeclared fluents are collected in first-use order.  Parsing
-is total: any input produces either a domain or a ParseError carrying a
-source position — never a crash.  Nothing recurses over the input, so
-no depth of nesting and no chain of signs can overflow the stack.
+Negation is written ``-f``, ``¬f``, ``¬ f``, or ``(not f)``, wherever a
+literal goes.  ``;`` starts a comment.  Undeclared fluents are collected
+in first-use order.  Parsing is total: any input produces either a
+domain or a ParseError carrying a source position — never a crash.
+Nothing recurses over the input, so no depth of nesting and no chain of
+signs can overflow the stack.
 """
 
 from __future__ import annotations
@@ -135,15 +136,19 @@ def _symbol(node, what: str) -> _Atom:
     return node
 
 
-def _parse_literal(nodes: list, i: int, builder: _DomainBuilder, what: str) -> tuple[Literal, int]:
+def _parse_literal(
+    nodes, i: int, builder: _DomainBuilder, what: str, stop=frozenset()
+) -> tuple[Literal, int]:
     """Parse one literal starting at nodes[i]; returns (literal, next index).
 
-    A lone sign, the token "¬ f" yields, negates the one node after it."""
+    A lone sign, the token "¬ f" yields, negates the one node after it.
+    A sign that ends `nodes`, or stands before a keyword in `stop`, is
+    missing its literal."""
     node = nodes[i]
     sign = node if isinstance(node, _Atom) and node.text == "-" else None
     if sign is not None:
         i += 1
-        if i == len(nodes):
+        if i == len(nodes) or isinstance(nodes[i], _Atom) and nodes[i].text in stop:
             raise ParseError(f"missing {what}", sign.span)
         node = nodes[i]
     if isinstance(node, _List):
@@ -166,10 +171,6 @@ def _parse_literal(nodes: list, i: int, builder: _DomainBuilder, what: str) -> t
     return lit, i + 1
 
 
-def _parse_literal_node(node, builder: _DomainBuilder, what: str) -> Literal:
-    return _parse_literal([node], 0, builder, what)[0]
-
-
 def _parse_literals(nodes, builder: _DomainBuilder, what: str) -> tuple[Literal, ...]:
     """Every literal of `nodes`, read one after another."""
     lits: list[Literal] = []
@@ -180,14 +181,29 @@ def _parse_literals(nodes, builder: _DomainBuilder, what: str) -> tuple[Literal,
     return tuple(lits)
 
 
-def _parse_condition(node, builder: _DomainBuilder) -> tuple[Literal, ...]:
-    """A condition is either a single literal or (and lit ...)."""
+_ACTION_KEYWORDS = frozenset({":effect", ":observe", ":executable", "executable"})
+
+
+def _parse_condition(nodes, i: int, builder: _DomainBuilder) -> tuple[tuple[Literal, ...], int]:
+    """A condition starting at nodes[i], either a single literal or
+    (and lit ...); returns (literals, next index)."""
+    node = nodes[i]
     if isinstance(node, _List) and node.items and isinstance(node.items[0], _Atom) and node.items[0].text == "and":
-        return _parse_literals(node.items[1:], builder, "condition literal")
-    return (_parse_literal_node(node, builder, "condition"),)
+        return _parse_literals(node.items[1:], builder, "condition literal"), i + 1
+    lit, i = _parse_literal(nodes, i, builder, "condition", _ACTION_KEYWORDS)
+    return (lit,), i
 
 
-_ACTION_KEYWORDS = {":effect", ":observe", ":executable", "executable"}
+def _parse_when(nodes, i: int, builder: _DomainBuilder) -> tuple[EffectProposition, int] | None:
+    """The conditional effect `when cond literal` whose `when` is
+    nodes[i], and the index after it; None when `nodes` end first."""
+    if i + 2 >= len(nodes):
+        return None
+    conds, i = _parse_condition(nodes, i + 1, builder)
+    if i == len(nodes):
+        return None
+    eff, i = _parse_literal(nodes, i, builder, "effect literal", _ACTION_KEYWORDS)
+    return EffectProposition("", eff, conds), i
 
 
 def _parse_action(form: _List, builder: _DomainBuilder) -> Action:
@@ -209,8 +225,8 @@ def _parse_action(form: _List, builder: _DomainBuilder) -> Action:
         if key in (":executable", "executable"):
             if i + 1 >= len(items):
                 raise ParseError("missing executability condition", head.span)
-            executability.extend(_parse_condition(items[i + 1], builder))
-            i += 2
+            conds, i = _parse_condition(items, i + 1, builder)
+            executability.extend(conds)
         elif key == ":observe":
             if i + 1 >= len(items):
                 raise ParseError("missing sensed fluent", head.span)
@@ -230,23 +246,20 @@ def _parse_action(form: _List, builder: _DomainBuilder) -> Action:
                 if isinstance(node, _Atom) and node.text in _ACTION_KEYWORDS:
                     break
                 if isinstance(node, _Atom) and node.text == "when":
-                    if i + 2 >= len(items):
+                    read = _parse_when(items, i, builder)
+                    if read is None:
                         raise ParseError("truncated conditional effect", node.span)
-                    conds = _parse_condition(items[i + 1], builder)
-                    eff = _parse_literal_node(items[i + 2], builder, "effect literal")
-                    effects.append(EffectProposition("", eff, conds))
-                    i += 3
+                    ep, i = read
+                    effects.append(ep)
                 elif isinstance(node, _List) and node.items and isinstance(node.items[0], _Atom) and node.items[0].text == "when":
-                    if len(node.items) != 3:
+                    read = _parse_when(node.items, 0, builder)
+                    if read is None or read[1] != len(node.items):
                         raise ParseError("conditional effect needs a condition and a literal", node.span)
-                    conds = _parse_condition(node.items[1], builder)
-                    eff = _parse_literal_node(node.items[2], builder, "effect literal")
-                    effects.append(EffectProposition("", eff, conds))
+                    effects.append(read[0])
                     i += 1
                 else:
-                    eff = _parse_literal_node(node, builder, "effect literal")
+                    eff, i = _parse_literal(items, i, builder, "effect literal", _ACTION_KEYWORDS)
                     effects.append(EffectProposition("", eff, ()))
-                    i += 1
                 saw_item = True
             if not saw_item:
                 raise ParseError("empty :effect clause", head.span)
@@ -312,7 +325,7 @@ def parse_domain(text: str) -> PlanningDomain:
                 raise ParseError(f"unknown goal kind {kind_atom.text!r}", kind_atom.span)
             rest = form.items[2:]
             if len(rest) == 1 and isinstance(rest[0], _List):
-                lits = _parse_condition(rest[0], builder)
+                lits, _ = _parse_condition(rest, 0, builder)
             else:
                 lits = _parse_literals(rest, builder, "goal literal")
             builder.goals.append(GoalProposition(kind_atom.text, lits))

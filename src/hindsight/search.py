@@ -13,14 +13,16 @@ timeline, so a search validates and compiles its domain once.  Every
 search step applies at least one action: a wait only shifts the state
 one time point, so no search ever needed one (see _candidates).
 
-Three more cuts skip work that provably yields nothing, and so change
+Four more cuts skip work that provably yields nothing, and so change
 no returned plan and no search order; each argument sits with its code.
 A node whose next split would break the branch budget offers no sensing
 candidate, instead of closing both sides of the split and then refusing
 it (_make_solver).  Within one split, a false-side search that found no
 plan is not run again for a later plan of the true side that leaves it
 the same weak flag and budgets (expand).  The optimal search tries no
-horizon above its occurrence budget (find_optimal_plan).
+horizon above its occurrence budget, and no occurrence budget above
+what a plan within the step and branch budgets can hold
+(find_optimal_plan).
 
 Every plan a search returns has been replayed once through the engine
 from scratch by verify_plan, which is also the public checker for plans
@@ -627,9 +629,15 @@ def _search(
     successors alike).
     """
     if optimal:
-        per_step = len(domain.actions) if concurrent else 1
-        # a negative step budget leaves no horizon to any occurrence budget
-        most = max_steps * (max_branches + 1) * per_step if max_steps >= 0 else -1
+        if max_steps < 0:
+            most = -1  # no horizon to try at any occurrence budget
+        else:
+            per_step = len(domain.actions) if concurrent else 1
+            # the most splits a plan can make (find_optimal_plan); from
+            # max_branches.bit_length() steps on, 2**steps - 1 >= max_branches
+            sensing = any(a.is_sensing for a in domain.actions)
+            bound = 2 ** min(max_steps, max_branches.bit_length()) - 1 if sensing else 0
+            most = max_steps * (min(max_branches, bound) + 1) * per_step
         restarts = (
             (budget, horizon)
             for budget in range(most + 1)
@@ -704,6 +712,18 @@ def find_optimal_plan(
     and leaves the search order of the shallower ones as it was, so any
     plan it could find would already have been found at its own depth,
     which was tried first.
+
+    No budget above max_steps × (splits + 1) × per_step is tried, where
+    per_step is the most occurrences one step can hold (1, or every
+    action in concurrent mode) and splits is the most splits a plan can
+    make: min(max_branches, 2**max_steps - 1) when some action senses,
+    else 0.  An occurrence set holds at most one sensor, so a branch
+    splits at most once a step, and max_steps steps make at most
+    2**max_steps branches; the split budget solve starts from is
+    max_branches.  A plan with s splits has s + 1 branches, each holding
+    at most max_steps × per_step occurrences of its own, so no plan
+    costs more than the ceiling: every plan is found as before, and only
+    searches with no plan stop sooner.
     """
     found = _search(
         domain, max_steps, max_branches,

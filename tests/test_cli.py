@@ -275,7 +275,12 @@ GARBAGE = {
     "(:goal strong g)".encode(),
     # more stacked signs than Python's recursion limit
     "signs.hpx": ("(:init " + "¬ " * 3000 + "f)").encode(),
+    # no plan, and no sensor to split on
+    "sensor_free.hpx": "(:action a :effect x) (:init ¬x ¬g) (:goal strong g)".encode(),
 }
+
+# far more restarts than any row needs; a search past it would not end
+MAX_RESTARTS = 10_000
 
 
 @pytest.mark.parametrize(
@@ -309,6 +314,9 @@ GARBAGE = {
         # the parser reads a sign chain without recursing
         (("solve", "signs.hpx"), 2),
         (("validate", "signs.hpx"), 2),
+        # no sensor, so no plan splits and the branch budget adds no occurrences
+        (("solve", "sensor_free.hpx", "--optimal", "--max-steps", "8",
+          "--max-branches", "1000000000"), 1),
     ],
 )
 def test_garbage_input_and_extreme_budgets_exit_cleanly(
@@ -317,6 +325,9 @@ def test_garbage_input_and_extreme_budgets_exit_cleanly(
     for name, data in GARBAGE.items():
         (tmp_path / name).write_bytes(data)
     monkeypatch.chdir(tmp_path)
+    from test_search import _count_restarts
+
+    _count_restarts(monkeypatch, MAX_RESTARTS)
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert "Traceback" not in err

@@ -125,6 +125,15 @@ def test_error_positions_are_one_based():
         "(:init (not (not f)))",
         "((:init f))",
         "()",
+        # a lone sign before a clause keyword or at the end of its list
+        "(:action a :effect ¬ :observe f)",
+        "(:action a :executable ¬ :effect g)",
+        "(:action a :executable ¬)",
+        "(:action a :effect g ¬)",
+        "(:action a :effect when c ¬)",
+        "(:action a :effect when ¬ c)",
+        "(:action a :effect (when c ¬))",
+        "(:action a :effect (when ¬ c))",
     ],
 )
 def test_malformed_inputs_raise_parse_errors(bad):
@@ -318,6 +327,27 @@ def _error(text: str) -> tuple[str, tuple[int, int]]:
 def test_a_lone_sign_that_ends_a_list_is_reported_at_the_sign():
     assert _error("(:init a\n  b ¬)") == ("missing init literal", (2, 5))
     assert _error("(:action a :effect ¬)") == ("missing effect literal", (1, 20))
+    assert _error("(:action a :effect ¬ :observe f)") == ("missing effect literal", (1, 20))
+    assert _error("(:action a :executable ¬ :effect g)") == ("missing condition", (1, 24))
+    assert _error("(:action a :effect (when c ¬))") == ("missing effect literal", (1, 28))
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        ("(:init g) (:action a :effect ¬ g) (:goal weak -g)",
+         "(:init g) (:action a :effect ¬g) (:goal weak -g)"),
+        ("(:action a :executable ¬ f :effect g)", "(:action a :executable ¬f :effect g)"),
+        ("(:action a :effect (when ¬ c e))", "(:action a :effect (when ¬c e))"),
+        ("(:action a :effect (when c ¬ e))", "(:action a :effect (when c ¬e))"),
+        ("(:action a :effect when ¬ c ¬ e)", "(:action a :effect when ¬c ¬e)"),
+        ("(:action a :effect ¬ e when c ¬ f :executable x)",
+         "(:action a :effect ¬e when c ¬f :executable x)"),
+        ("(:goal strong ¬ g)", "(:goal strong ¬g)"),
+    ],
+)
+def test_a_lone_sign_negates_the_literal_after_it_wherever_a_literal_goes(spaced, joined):
+    assert parse_domain(spaced) == parse_domain(joined)
 
 
 def test_positions_count_characters_after_crlf_tab_and_negation_sign():

@@ -565,6 +565,90 @@ def test_optimal_search_tries_no_horizon_above_the_occurrence_budget(
     ]
 
 
+class TooManyRestarts(Exception):
+    """A search made more restarts than its test allows."""
+
+
+def _count_restarts(monkeypatch, limit: int) -> list[int]:
+    """Count the restarts of the searches that follow, through
+    `_make_solver`, and raise once there are more than `limit`, so a
+    search that would run on for ever fails at once."""
+    real = search._make_solver
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        if count[0] > limit:
+            raise TooManyRestarts(f"more than {limit} restarts")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "_make_solver", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "text, max_steps, restarts",
+    [
+        # no sensor: budgets 0..8, budget b at horizons 0..b: 1 + 2 + ... + 9
+        ("(:action a :effect x) (:init ¬x ¬g) (:goal strong g)", 8, 45),
+        # at most 2**3 - 1 = 7 splits: budgets 0..3 × 8 = 24, each at
+        # horizons 0..min(3, b): 1 + 2 + 3 + 22 × 4
+        (
+            "(:action s :observe f) (:action a :effect (when f g)) (:init ¬x) "
+            "(:goal strong g)",
+            3,
+            94,
+        ),
+    ],
+    ids=["sensor_free", "sensing"],
+)
+def test_optimal_search_without_a_plan_stops_at_the_occurrence_ceiling(
+    monkeypatch, text, max_steps, restarts
+):
+    count = _count_restarts(monkeypatch, restarts)
+    assert find_optimal_plan(parse_domain(text), max_steps, 1_000_000_000) is None
+    assert count[0] == restarts
+
+
+def _reference_optimal_plan(domain, max_steps, max_branches, concurrent):
+    """find_optimal_plan's restarts without the occurrence ceiling: every
+    budget up to max_steps × (max_branches + 1) × per_step, each at the
+    horizons up to min(max_steps, budget), from one root timeline."""
+    root = initial_state(domain, 0, max_branches, checks=False).branches[0].timeline
+    if root.inconsistent:
+        return None
+    per_step = len(domain.actions) if concurrent else 1
+    for budget in range(max_steps * (max_branches + 1) * per_step + 1):
+        for horizon in range(min(max_steps, budget) + 1):
+            solve = search._make_solver(root.compiled, horizon, max_branches, concurrent)
+            hit = next(solve(root, True, budget, max_branches), None)
+            if hit is not None:
+                return hit[0]
+    return None
+
+
+def test_the_occurrence_ceiling_changes_no_optimal_plan():
+    from test_acceptance import _random_domain
+
+    domains = [_random_domain(random.Random(774000 + i)) for i in range(200)]
+    cases = [(d, 4, 2, False) for d in domains]
+    cases += [(d, 3, 2, True) for d in domains]
+    cases.append((door_domain(), 4, 1, False))
+    # 5 occurrences over 3 branches, more than one branch's 3 steps hold
+    cases.append((split_budget_domain(), 3, 2, False))
+    found = [
+        find_optimal_plan(d, steps, branches, concurrent=concurrent, checks=False)
+        for d, steps, branches, concurrent in cases
+    ]
+    assert found == [_reference_optimal_plan(*case) for case in cases]
+    assert found[-2] == DOOR_PLAN
+    assert count_occurrences(found[-1]) == 5
+    # both kinds of domain have plans, so both ceilings are exercised
+    sensing = [any(a.is_sensing for a in d.actions) for d, *_ in cases]
+    assert sum(p is not None and s for p, s in zip(found, sensing)) > 50
+    assert sum(p is not None and not s for p, s in zip(found, sensing)) > 50
+
+
 def test_a_search_validates_and_compiles_its_domain_once(monkeypatch):
     from hindsight import engine
 
