@@ -248,8 +248,7 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
         oracle_text, oracle_ok = _oracle_summary(state)
 
     if args.trace:
-        atoms = sorted(state.all_atoms())
-        Path(args.trace).write_text("\n".join(atoms) + "\n", encoding="utf-8")
+        Path(args.trace).write_text("\n".join(state.all_atoms()) + "\n", encoding="utf-8")
 
     run = RunReport(
         **base,

@@ -23,10 +23,27 @@ later group exponentially often (_consistent_choices).
 
 Queries use hindsight semantics: "was l true at time t" is answered
 from the initial worlds that survive *all* observations along the whole
-trace, evolved forward t steps.  soundness_check runs each initial
-world through a branch's trace once and folds the survivors at every
-time point into an all-true mask (AND) and an any-true mask (OR), so
-each claimed literal is one bit test.
+trace, evolved forward t steps.  A trace is followed one step at a
+time over the histories (world at times 0..t) of the survivors so far
+(_extend): keep the histories whose last world shows the step's
+observation, then append that world's successor.  soundness_check
+folds the survivors of a branch's trace at every time point into an
+all-true mask (AND) and an any-true mask (OR), so each claimed literal
+is one bit test.
+
+soundness_check does not replay a branch from time zero.  The compiled
+domain keeps a survivor table from each engine `Timeline` it checked to
+the histories that survive that timeline's chain (`prev` links back to
+time zero).  A branch walks `prev` back to the nearest timeline in the
+table, or to time zero, and extends forward from there one link at a
+time, each link's step compiled once per (names, observation).  A state
+checked right after its parent thus costs one step per branch.  This
+rests on timelines never changing: a timeline's chain, and so its
+survivors, is fixed when it is made.  Entries hold their timeline, so
+its id cannot be reused while the entry lives, and a hit also compares
+identity.  The table is dropped with the compiled domain when a query
+names another domain, and emptied whenever it reaches
+MAX_SURVIVOR_ENTRIES, after which branches replay from time zero again.
 
 The public functions keep worlds as frozensets of fluent names; they
 encode their arguments, run the int core and decode the result.  All
@@ -44,11 +61,14 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 from hindsight.model import Fluent, Literal, PlanningDomain, complement
 
 if TYPE_CHECKING:  # pragma: no cover
-    from hindsight.engine import EpistemicState
+    from hindsight.engine import EpistemicState, Timeline
 
 # 2**16 initial worlds is the most the exhaustive enumeration will attempt.
 MAX_ORACLE_FLUENTS = 16
 MAX_ORACLE_WORLDS = 1 << MAX_ORACLE_FLUENTS
+# The survivor table and the compiled link steps of one domain are each
+# emptied when they reach this many entries.
+MAX_SURVIVOR_ENTRIES = 1 << 12
 
 WorldState = frozenset
 
@@ -74,6 +94,8 @@ class TraceStep:
 # rows).  A step that observes one fluent both ways gets values -1, which
 # no world matches.
 _Step = tuple[int, int, tuple[tuple[int, int, int, bool], ...]]
+# A world's states at times 0..t.
+_History = tuple[int, ...]
 
 
 def _result(world: int, rules: tuple) -> int:
@@ -92,16 +114,11 @@ def _result(world: int, rules: tuple) -> int:
     return (world | adds) & ~dels
 
 
-def _history(world: int, trace: Sequence[_Step]) -> list[int] | None:
-    """The world's states at times 0..len(trace), or None when some
-    observation along the trace rules it out."""
-    history = [world]
-    for seen, value, rules in trace:
-        if world & seen != value:
-            return None
-        world = _result(world, rules)
-        history.append(world)
-    return history
+def _extend(histories: Iterable[_History], step: _Step) -> list[_History]:
+    """One step over histories: keep those whose last world shows the
+    step's observation, then append that world's successor."""
+    seen, value, rules = step
+    return [h + (_result(h[-1], rules),) for h in histories if h[-1] & seen == value]
 
 
 class _Worlds:
@@ -120,6 +137,10 @@ class _Worlds:
             )
             for a in domain.actions
         }
+        # (names, observation) of a timeline link -> its compiled step
+        self.link_steps: dict[tuple, _Step] = {}
+        # id(timeline) -> (timeline, histories surviving its chain)
+        self.survivors: dict[int, tuple[Timeline, list[_History]]] = {}
 
     def _masks(self, literals: Iterable[Literal]) -> tuple[int, int]:
         """(mask of the positive literals' fluents, mask of the negative ones)."""
@@ -193,15 +214,48 @@ class _Worlds:
                 value |= bit
         return seen, value, self.step_rules(step.actions)
 
-    def histories(self, steps: Iterable[TraceStep]) -> list[list[int]]:
+    def histories(self, steps: Iterable[TraceStep]) -> list[_History]:
         """The history of every initial world that survives the trace."""
-        trace = [self.compile_step(step) for step in steps]
-        out = []
-        for w0 in self.initial:
-            history = _history(w0, trace)
-            if history is not None:
-                out.append(history)
+        out = [(w0,) for w0 in self.initial]
+        for step in steps:
+            out = _extend(out, self.compile_step(step))
         return out
+
+    def link_step(self, link: Timeline) -> _Step:
+        """The compiled step from `link.prev` to `link`."""
+        key = (link.names, link.observation)
+        step = self.link_steps.get(key)
+        if step is None:
+            if len(self.link_steps) >= MAX_SURVIVOR_ENTRIES:
+                self.link_steps.clear()
+            seen = () if link.observation is None else (link.observation,)
+            step = self.link_steps[key] = self.compile_step(TraceStep(link.names, seen))
+        return step
+
+    def surviving(self, timeline: Timeline) -> list[_History]:
+        """The histories that survive `timeline`'s chain: extended from
+        the nearest timeline on the chain already in the table, or from
+        time zero."""
+        pending = []
+        link = timeline
+        while True:
+            entry = self.survivors.get(id(link))
+            if entry is not None and entry[0] is link:
+                if not pending:
+                    return entry[1]
+                histories = entry[1]
+                break
+            if link.prev is None:
+                histories = self.histories(())  # time zero applies no step
+                break
+            pending.append(link)
+            link = link.prev
+        for link in reversed(pending):
+            histories = _extend(histories, self.link_step(link))
+        if len(self.survivors) >= MAX_SURVIVOR_ENTRIES:
+            self.survivors.clear()
+        self.survivors[id(timeline)] = (timeline, histories)
+        return histories
 
 
 _last: _Worlds | None = None
@@ -212,7 +266,8 @@ def _compiled(domain: PlanningDomain) -> _Worlds:
 
     Only the most recently used domain is kept, compared by identity:
     callers check many states of one domain in a row, and a cache keyed
-    by every domain seen would keep them all alive.
+    by every domain seen would keep them all alive.  The survivor table
+    and the compiled link steps go with it.
     """
     global _last
     if _last is None or _last.domain is not domain:
@@ -280,13 +335,8 @@ def result_state(domain: PlanningDomain, world: WorldState, actions: Iterable[st
 def apply_step(domain: PlanningDomain, sigma: Iterable, step: TraceStep) -> frozenset:
     """One trace step over a belief state: observation filter, then effects."""
     worlds = _compiled(domain)
-    trace = (worlds.compile_step(step),)
-    out = []
-    for world in sigma:
-        history = _history(worlds.encode(world), trace)
-        if history is not None:
-            out.append(worlds.decode(history[1]))
-    return frozenset(out)
+    histories = _extend([(worlds.encode(world),) for world in sigma], worlds.compile_step(step))
+    return frozenset(worlds.decode(history[-1]) for history in histories)
 
 
 def entails(sigma: frozenset, literal: Literal) -> bool:
@@ -360,7 +410,9 @@ def soundness_check(state: EpistemicState) -> SoundnessReport:
     Only the final evaluation stage is checked: knowledge never shrinks
     as evaluation advances, so the final stage covers all earlier ones.
     Branches whose observation sequence no world can realize are
-    vacuously sound and reported separately.
+    vacuously sound and reported separately.  Each branch's survivors
+    extend those of the nearest timeline on its chain that was checked
+    before (see the module docstring).
     """
     if state.inconsistent:
         raise ValueError("cannot soundness-check an inconsistent state")
@@ -370,7 +422,7 @@ def soundness_check(state: EpistemicState) -> SoundnessReport:
     violations: list[str] = []
     vacuous: list[int] = []
     for br in sorted(state.branches):
-        histories = worlds.histories(branch_trace(state, br))
+        histories = worlds.surviving(state.branches[br].timeline)
         if not histories:
             vacuous.append(br)
             continue

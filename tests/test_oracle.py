@@ -10,8 +10,11 @@ import copy
 import random
 
 import pytest
+from test_acceptance import _random_domain
+from test_cli import LADDER_DIGESTS, _ladder_text
 
-from hindsight.engine import initial_state
+from hindsight import oracle
+from hindsight.engine import EngineError, initial_state
 from hindsight.generators import (
     benchmark_bounds,
     generate_bomb,
@@ -30,8 +33,10 @@ from hindsight.model import (
 from hindsight.oracle import (
     MAX_ORACLE_FLUENTS,
     OracleCapacityError,
+    SoundnessReport,
     TraceStep,
     apply_step,
+    branch_trace,
     entails,
     initial_sigma,
     result_state,
@@ -39,6 +44,8 @@ from hindsight.oracle import (
     tqs_entails,
     tqs_timeline,
 )
+from hindsight.parser import parse_domain
+from hindsight.search import find_plan, verify_plan
 
 
 def two_door_domain() -> PlanningDomain:
@@ -359,3 +366,144 @@ def test_soundness_check_reports_a_false_claim_and_a_vacuous_branch():
         "but worlds [[], ['d'], ['d', 'e'], ['e']] disagree",
     )
     assert report.vacuous_branches == (1,)
+
+
+# -- the survivor table against a from-scratch replay ------------------------
+
+
+def _reference_report(state) -> SoundnessReport:
+    """soundness_check as it was before the survivor table: every branch
+    replays every initial world from time zero."""
+    worlds = oracle._compiled(state.domain)
+    checked = 0
+    violations: list[str] = []
+    vacuous: list[int] = []
+    for br in sorted(state.branches):
+        histories = worlds.histories(branch_trace(state, br))
+        if not histories:
+            vacuous.append(br)
+            continue
+        for t in range(state.horizon + 1):
+            at_t = {history[t] for history in histories}
+            for lit in sorted(state.known_literals(br, t)):
+                checked += 1
+                bit = 1 << worlds.index[lit.fluent]
+                if any(bool(w & bit) != lit.positive for w in at_t):
+                    violations.append(
+                        f"branch {br}: claims {lit} at time {t}, "
+                        f"but worlds {sorted(sorted(worlds.decode(w)) for w in at_t)} disagree"
+                    )
+    return SoundnessReport(checked, tuple(violations), tuple(vacuous))
+
+
+def _assert_matches_reference(state) -> None:
+    assert soundness_check(state) == _reference_report(state)
+
+
+def _walk_states(domain: PlanningDomain) -> list:
+    """Criterion 2's lockstep walk: its consistent states in DFS order."""
+    states = []
+
+    def visit(state, depth: int) -> None:
+        if state.inconsistent:
+            return
+        states.append(state)
+        if depth == 4:
+            return
+        for action in domain.actions:
+            try:
+                nxt = state.step({br: (action.name,) for br in state.branches})
+            except EngineError:
+                continue
+            visit(nxt, depth + 1)
+
+    visit(initial_state(domain, 4, 8), 0)
+    return states
+
+
+@pytest.fixture(scope="module")
+def walked() -> list[list]:
+    """The walk states of the first 200 criterion-2 domains, per domain."""
+    return [_walk_states(_random_domain(random.Random(774000 + i))) for i in range(200)]
+
+
+def test_survivor_table_matches_a_replay_from_time_zero_in_dfs_order(walked):
+    splits = 0
+    for states in walked:
+        for state in states:
+            _assert_matches_reference(state)
+            splits += len(state.branches) > 1
+    assert splits > 100  # the walk reaches both sides of many splits
+
+
+def test_survivor_table_matches_a_replay_from_time_zero_in_reverse_order(walked):
+    for states in walked:
+        for state in reversed(states):
+            _assert_matches_reference(state)
+
+
+def _two_longest(walked) -> tuple[list, list]:
+    second, longest = sorted(walked, key=len)[-2:]
+    return longest, second
+
+
+def test_survivor_table_matches_a_replay_with_two_domains_interleaved(walked):
+    a, b = _two_longest(walked)
+    assert len(b) > 50
+    half = len(a) // 2
+    for state in a[:half] + b + a[half:]:
+        _assert_matches_reference(state)
+    for pair in zip(a, b):
+        for state in pair:
+            _assert_matches_reference(state)
+
+
+@pytest.mark.parametrize("rung", list(LADDER_DIGESTS))
+def test_survivor_table_matches_a_replay_on_every_ladder_rung(rung):
+    text, bounds = _ladder_text(rung)
+    domain = parse_domain(text)
+    state = verify_plan(domain, find_plan(domain, *bounds), *bounds).state
+    reference = _reference_report(state)
+    assert reference.ok and reference.checked > 0
+    # from time zero, then from the table
+    assert soundness_check(state) == reference
+    assert soundness_check(state) == reference
+
+
+def test_survivor_table_matches_a_replay_on_the_coin_domain():
+    state = initial_state(coin_domain(), 5, 1)
+    for action in ("toss1", "toss2", "toss3", "toss4", "look"):
+        state = state.step({0: (action,)})
+        _assert_matches_reference(state)
+    assert soundness_check(state).vacuous_branches == (1,)
+
+    planted = copy.copy(state.branches[0].timeline)
+    planted.layer = (planted.layer[0] | 1 << state.compiled.bit(pos("d")),) + planted.layer[1:]
+    state.branches[0].timeline = planted
+    report = soundness_check(state)
+    assert report == _reference_report(state)
+    assert report.vacuous_branches == (1,)
+    assert report.violations[0].startswith("branch 0: claims d at time 0")
+
+
+def test_survivor_table_keeps_to_its_bound_and_is_dropped_with_its_domain(monkeypatch, walked):
+    monkeypatch.setattr(oracle, "MAX_SURVIVOR_ENTRIES", 3)
+    a, b = _two_longest(walked)
+    assert len(a) > 10 * oracle.MAX_SURVIVOR_ENTRIES
+    for state in a:
+        _assert_matches_reference(state)
+        worlds = oracle._compiled(state.domain)
+        assert 0 < len(worlds.survivors) <= 3
+        assert len(worlds.link_steps) <= 3
+
+    def domains_in_table() -> set:
+        return {timeline.compiled.domain for timeline, _ in oracle._last.survivors.values()}
+
+    assert domains_in_table() == {a[0].domain}
+    soundness_check(b[-1])
+    assert domains_in_table() == {b[0].domain}
+    soundness_check(a[-1])
+    # only the branches just checked, each replayed from time zero
+    assert [timeline for timeline, _ in oracle._last.survivors.values()] == [
+        a[-1].branches[br].timeline for br in sorted(a[-1].branches)
+    ]
