@@ -9,12 +9,12 @@ int per time point and the closure rules become mask arithmetic.
 
 A branch's future depends only on its own newest layer and the effects
 applied on its history, so one branch is one immutable `Timeline`.
-`Timeline.step` is the one place that validates occurrences, checks
-executability against current knowledge and interference between
-simultaneous effects, resolves sensing (a fluent it does not know
-splits the timeline into a true and a false successor), and closes the
-new layer under the inference rules, each of which relates one step
-pair (t, t+1) or, for the oneof rule, time point 0 alone:
+`Timeline.step` validates occurrences, checks executability against
+current knowledge and interference between simultaneous effects,
+resolves sensing (a fluent it does not know splits the timeline into a
+true and a false successor), and closes the new layer under the
+inference rules, each of which relates one step pair (t, t+1) or, for
+the oneof rule, time point 0 alone:
 
 * causation: an applied effect whose conditions are all known produces
   knowledge of the effect at the next time point;
@@ -48,6 +48,21 @@ its effect.  "Possibly fired" is then `row & falsifier == 0`,
 causation is `row & cond == cond`, positive postdiction adds `cond`,
 and negative postdiction adds the complement of the one condition not
 yet known to hold, or of every condition when all are known.
+
+An occurrence set is validated once per compiled domain.  Of the
+checks on a set, only executability reads knowledge; an unknown or
+repeated action, two sensors and interfering effects depend on the
+names alone.  `CompiledDomain.occurrences` keeps, for each set that
+passed them, the union of its actions' executability masks (`need`),
+its rules and its sensed bit, so stepping a set seen before costs one
+mask test, `row & need == need`.  A new set, or one whose `need` the
+row misses, runs every check as before, so each rejection raises the
+same exception with the same message; a set that raised is not kept.
+
+`Timeline.next_row(names)` is the cheap form of a step that does not
+split: it validates `names` the same way and returns row h+1, building
+no timeline.  A search node one step below its horizon needs nothing
+more of its successors than their newest row's goal test (search.py).
 
 Closure is incremental.  All rules are monotone, so a layer has one
 least fixpoint above its starting rows, and any order of rule
@@ -89,7 +104,7 @@ h+1, and a pair that changes a row requeues the pairs sharing that row
 (and the oneof rule for point 0).  Seeding with every point instead
 closes a layer from scratch, which the assertion-checked build uses to
 confirm both paths: for a step that does not split, that no row <= h
-changes and row h+1 is the one-pass row.
+changes and row h+1 is the one-pass row (in `next_row` as in `step`).
 """
 
 from __future__ import annotations
@@ -236,6 +251,9 @@ class CompiledDomain:
         # the actions in name order, the order a search tries them in
         self.menu = tuple(self.actions[name] for name in sorted(self.actions))
         self.oneofs = tuple(self._compile_oneof(oo.literals) for oo in domain.oneofs)
+        # names -> (need, rules, sensed) of each occurrence set that passed
+        # the checks that do not read knowledge (see `occurrences`)
+        self.valid: dict[tuple[str, ...], tuple[int, tuple, int]] = {}
 
     def bit(self, lit: Literal) -> int:
         return self.findex[lit.fluent] * 2 + (0 if lit.positive else 1)
@@ -267,6 +285,68 @@ class CompiledDomain:
         """(mask of the literals' complements, ((bit, complement bit), ...))."""
         pairs = tuple((1 << self.bit(lit), 1 << (self.bit(lit) ^ 1)) for lit in literals)
         return sum(nb for _pb, nb in pairs), pairs
+
+    # -- occurrences -------------------------------------------------------------
+
+    def occurrences(
+        self, names: tuple[str, ...], row: int, step: int, branch: int
+    ) -> tuple[tuple, int]:
+        """(compiled rules, sensed bit or -1) of occurrence set `names`
+        applied at knowledge `row`, the newest row of a timeline at
+        horizon `step`.
+
+        Raises on an unknown or repeated action, two sensors, an action
+        whose executability condition `row` does not hold, and effects
+        that interfere; `step` and `branch` only locate the violation in
+        the message.  Only executability reads knowledge, so a set that
+        passed the other checks once is kept in `valid` with the union of
+        its actions' conditions (`need`), and a later call needs only
+        `row & need == need`.  Any other call, a set seen for the first
+        time or one whose `need` the row misses, runs every check, and so
+        raises what it always raised; a set that raised is not kept.
+        """
+        known = self.valid.get(names)
+        if known is not None and row & known[0] == known[0]:
+            return known[1], known[2]
+        need = 0
+        rules: tuple = ()
+        sensed = -1
+        if names:
+            if len(names) > 1 and len(set(names)) != len(names):
+                raise ConcurrencyError(f"repeated action in one step on branch {branch}")
+            try:
+                acts = [self.actions[n] for n in names]
+            except KeyError as exc:
+                raise EngineError(f"unknown action {exc.args[0]!r}") from None
+            for a in acts:
+                if a.sensed >= 0:
+                    if sensed >= 0:
+                        raise ConcurrencyError(
+                            f"two sensing actions at step {step} on branch {branch}"
+                        )
+                    sensed = a.sensed
+            for a in acts:
+                if row & a.need != a.need:
+                    lit = next(
+                        lit for lit in a.action.executability
+                        if not row >> self.bit(lit) & 1
+                    )
+                    raise ExecutabilityError(
+                        f"'{a.name}' at step {step} on branch {branch} "
+                        f"requires {lit} to be known"
+                    )
+                need |= a.need
+            if len(acts) == 1:
+                rules = acts[0].rules
+                if not acts[0].clean:
+                    _check_interference(acts[0].action.effect_props, step, branch)
+            else:
+                _check_interference(
+                    tuple(ep for a in acts for ep in a.action.effect_props), step, branch
+                )
+                rules = tuple(r for a in acts for r in a.rules)
+        self.valid[names] = (need, rules, sensed)
+        return rules, sensed
 
     # -- closure ---------------------------------------------------------------
 
@@ -316,12 +396,19 @@ class CompiledDomain:
         """Row h+1 of a step that does not split, from closed row h: every
         literal of `row` no applied effect may have overturned, and the
         effect of every rule whose conditions `row` holds.  One pass of
-        `_close_pair` with row h fixed, which is its fixpoint."""
-        nxt = row & ~self.complement(_possibly_fired(rules, row))
-        for cond, _falsifier, eff, _effc, _lone in rules:
-            if row & cond == cond:
-                nxt |= eff
-        return nxt
+        `_close_pair` with row h fixed, which is its fixpoint.
+
+        One loop finds both the complements of the effects that possibly
+        fired (`overturned`) and the caused effects: a rule whose
+        conditions all hold possibly fired, because `row` holds no literal
+        and its complement (a timeline with a clash is never stepped)."""
+        overturned = caused = 0
+        for cond, falsifier, eff, effc, _lone in rules:
+            if not row & falsifier:
+                overturned |= effc
+                if row & cond == cond:
+                    caused |= eff
+        return row & ~overturned | caused
 
     def _close_pair(self, rules: tuple, lo: int, hi: int) -> tuple[int, int]:
         """Close rows t (`lo`) and t+1 (`hi`) under the rules of step t:
@@ -447,43 +534,8 @@ class Timeline:
         compiled = self.compiled
         h = self.horizon
         row = self.layer[h]
-        rules: tuple = ()
-        sensed = -1
         names = tuple(names)
-        if names:
-            if len(names) > 1 and len(set(names)) != len(names):
-                raise ConcurrencyError(f"repeated action in one step on branch {branch}")
-            try:
-                acts = [compiled.actions[n] for n in names]
-            except KeyError as exc:
-                raise EngineError(f"unknown action {exc.args[0]!r}") from None
-            for a in acts:
-                if a.sensed >= 0:
-                    if sensed >= 0:
-                        raise ConcurrencyError(
-                            f"two sensing actions at step {h} on branch {branch}"
-                        )
-                    sensed = a.sensed
-            for a in acts:
-                if row & a.need != a.need:
-                    lit = next(
-                        lit for lit in a.action.executability
-                        if not row >> compiled.bit(lit) & 1
-                    )
-                    raise ExecutabilityError(
-                        f"'{a.name}' at step {h} on branch {branch} "
-                        f"requires {lit} to be known"
-                    )
-            if len(acts) == 1:
-                rules = acts[0].rules
-                if not acts[0].clean:
-                    _check_interference(acts[0].action.effect_props, h, branch)
-            else:
-                _check_interference(
-                    tuple(ep for a in acts for ep in a.action.effect_props), h, branch
-                )
-                rules = tuple(r for a in acts for r in a.rules)
-
+        rules, sensed = compiled.occurrences(names, row, h, branch)
         history = self.rules + (rules,)
         observation = None
         if sensed >= 0:
@@ -517,6 +569,41 @@ class Timeline:
                 self, names, observation,
             ),
         )
+
+    def next_row(self, names: Sequence[str]) -> int:
+        """Row h+1 of the step `step(names)` would make, for a step that
+        does not split; no timeline is built.
+
+        Validates `names` as `step` does and raises what it raises (the
+        messages name branch 0).  A sensor on a value the newest row does
+        not know would split, and raises EngineError.  A clash in the row
+        is what would make the successor `inconsistent`.  With `checks`,
+        asserts what a checked `step` asserts of its new row: no clash,
+        and the row a from-scratch closure of the old rows and an empty
+        row h+1 gives.  It never calls `step`.
+        """
+        if self.inconsistent:
+            raise EngineError("cannot step an inconsistent state")
+        compiled = self.compiled
+        h = self.horizon
+        row = self.layer[h]
+        names = tuple(names)
+        rules, sensed = compiled.occurrences(names, row, h, 0)
+        if sensed >= 0 and not row >> sensed & 3:  # neither value known
+            raise EngineError(
+                f"sensing '{compiled.fluents[sensed >> 1]}' at step {h} splits; "
+                "only step can make a split"
+            )
+        new = compiled.forward_row(rules, row)
+        if self.checks:
+            # internal invariants; violations are engine bugs, hence asserts
+            assert not _clashes(compiled, (new,)), "a step that does not split made a clash"
+            again = [*self.layer, 0]
+            compiled.close_layer(self.rules + (rules,), again, range(len(again)))
+            assert tuple(again) == self.layer + (new,), (
+                "a step that does not split was not closed"
+            )
+        return new
 
     def _split(
         self,

@@ -24,6 +24,21 @@ horizon above its occurrence budget, and no occurrence budget above
 what a plan within the step and branch budgets can hold
 (find_optimal_plan).
 
+The frontier is not a cut: it does the same work in a cheaper form.  A
+node one step below its horizon has nothing left to search below each
+successor but the goal test of the successor's newest row, since the
+successor is at the horizon and either is a leaf or yields nothing.
+So solve handles each candidate that does not sense there itself, in
+expand's order: the occurrence-budget check, then `Timeline.next_row`
+for row h+1 (a candidate the interference rules reject is skipped, as
+expand skips it), then a row with a clash is dropped, as expand drops
+an inconsistent successor, and a row that meets the goal yields the
+one-step plan expand would have built around the successor's Leaf.  A
+sensing candidate always splits (_candidates offers a sensor only on an
+unknown value), and still goes through expand.  The yields, their costs
+and their order are those of expand, so no returned plan changes; the
+replay of every returned plan by verify_plan still guards it.
+
 Every plan a search returns has been replayed once through the engine
 from scratch by verify_plan, which is also the public checker for plans
 from any other source.  One driver, _search, runs the restarts of both
@@ -512,6 +527,7 @@ def _make_solver(
     strong = compiled.mask(compiled.domain.goal_literals("strong"))
     both = strong | compiled.mask(weak)
     sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
+    even = compiled.even
 
     def solve(
         timeline: Timeline,
@@ -529,8 +545,24 @@ def _make_solver(
         if sensors and timeline.splits + 1 > max_branches:
             # no split fits: leave out every candidate that senses
             candidates = [acts for acts in candidates if sensors.isdisjoint(acts)]
+        # on the frontier a successor's only test is its newest row's goal
+        # test, so a step that does not split builds no timeline there
+        frontier = timeline.horizon + 1 == horizon
         for acts in candidates:
-            yield from expand(timeline, acts, weak_required, occ_budget, split_budget)
+            # a sensor here always splits
+            if not frontier or not sensors.isdisjoint(acts):
+                yield from expand(timeline, acts, weak_required, occ_budget, split_budget)
+                continue
+            if occ_budget is not None and len(acts) > occ_budget:
+                continue
+            try:
+                row = timeline.next_row(acts)
+            except ConcurrencyError:
+                continue
+            if row & (row >> 1) & even:  # an inconsistent successor
+                continue
+            if row & need == need:
+                yield Step(acts, None, None, Leaf(), None), len(acts), 0
 
     def expand(
         timeline: Timeline,

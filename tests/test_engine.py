@@ -421,9 +421,98 @@ def test_checked_stepping_catches_a_forward_row_that_drops_causation(monkeypatch
 
     # unchecked, driving through the open door no longer gets anyone in ...
     assert not narrative(False).knows(pos("in_liv"), 3, 0)
-    # ... and the checked build notices that the new row was not closed
+    # ... and the checked build notices that the new row was not closed,
+    # in step and in next_row, which never calls step
     with pytest.raises(AssertionError, match="does not split was not closed"):
         narrative(True)
+    s = initial_state(door_domain(), max_steps=3, max_branches=1, checks=True)
+    s = s.step({0: ["open_door"]}).step({0: ["sense_open"]})
+    with pytest.raises(AssertionError, match="does not split was not closed"):
+        s.branches[0].timeline.next_row(("drive",))
+
+
+# -- next_row and the validation cache -------------------------------------------
+
+
+def _raised(call):
+    """(class, message) of the EngineError `call()` raises."""
+    with pytest.raises(EngineError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _rejected_occurrences():
+    """(domain factory, occurrence set, class of its rejection): one
+    set per check that rejects it at time zero."""
+    two_lookers = PlanningDomain(
+        fluents=("a", "b"),
+        actions=(
+            Action("look_a", knowledge_props=(KnowledgeProposition("a"),)),
+            Action("look_b", knowledge_props=(KnowledgeProposition("b"),)),
+        ),
+    )
+    clash = PlanningDomain(
+        fluents=("f",),
+        actions=(
+            Action("up", effect_props=(EffectProposition("up_1", pos("f")),)),
+            Action("down", effect_props=(EffectProposition("down_1", neg("f")),)),
+        ),
+    )
+    return [
+        (door_domain, ("fly",), EngineError),
+        (door_domain, ("open_door", "open_door"), ConcurrencyError),
+        (lambda: two_lookers, ("look_a", "look_b"), ConcurrencyError),
+        (door_domain, ("drive",), ExecutabilityError),
+        (lambda: clash, ("down", "up"), ConcurrencyError),
+    ]
+
+
+def test_next_row_rejects_what_step_rejects_and_caches_no_rejected_set():
+    for domain, names, kind in _rejected_occurrences():
+        # each call on a fresh domain, so no cache entry can decide it
+        stepped = _raised(
+            lambda: initial_state(domain(), 1, 1, True).branches[0].timeline.step(names)
+        )
+        root = initial_state(domain(), 1, 1, True).branches[0].timeline
+        assert _raised(lambda: root.next_row(names)) == stepped, names
+        assert stepped[0] is kind, names
+        # a set that raised is not kept, so it raises again, and alike
+        assert names not in root.compiled.valid, names
+        assert _raised(lambda: root.step(names)) == stepped, names
+        assert names not in root.compiled.valid, names
+
+
+def test_a_cached_set_is_still_checked_for_executability():
+    fresh = initial_state(door_domain(), 3, 1, checks=True).branches[0].timeline
+    expected = _raised(lambda: fresh.step(("drive",)))
+    assert expected[0] is ExecutabilityError
+    # the narrative drives once the door is known to be open, which keeps
+    # ("drive",) as a valid set of the narrative's compiled domain
+    s = run_door_narrative()
+    assert ("drive",) in s.compiled.valid
+    root = s.branches[0].timeline.chain()[0]
+    assert _raised(lambda: root.step(("drive",))) == expected
+    assert _raised(lambda: root.next_row(("drive",))) == expected
+    # and on the side where the door stayed shut, alike
+    shut = s.branches[1].timeline
+    message = _raised(lambda: shut.next_row(("drive",)))
+    assert message == _raised(lambda: shut.step(("drive",)))
+    assert message == (
+        ExecutabilityError, "'drive' at step 3 on branch 0 requires open to be known"
+    )
+
+
+def test_next_row_refuses_a_sensor_that_would_split():
+    s = initial_state(door_domain(), 2, 1, checks=True).step({0: ["open_door"]})
+    timeline = s.branches[0].timeline
+    assert len(timeline.step(("sense_open",))) == 2
+    with pytest.raises(EngineError, match="splits"):
+        timeline.next_row(("sense_open",))
+    # once the value is known, a look does not split, and next_row gives
+    # the row step gives
+    known = timeline.step(("sense_open",))[1]
+    (after,) = known.step(("sense_open",))
+    assert known.next_row(("sense_open",)) == after.layer[-1]
 
 
 # Pinned from the whole-layer sweep closure that preceded the worklist
@@ -585,11 +674,12 @@ def test_multi_branch_walks_read_their_history_off_the_timeline_chain():
 def test_random_walks_beyond_criterion_2_stay_monotone_and_sound():
     """Random domains of up to 6 fluents and random occurrence sequences
     to depth 7, with concurrent sets and looks at known values, stepped
-    with checks: no step loses a knowledge atom, and every consistent
-    state is sound against the possible worlds."""
+    with checks: no step loses a knowledge atom, every consistent state
+    is sound against the possible worlds, and on every branch whose step
+    did not split, `next_row` gives the successor's newest row."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    seen = {"depth 7": 0, "concurrent": 0, "split": 0, "known look": 0}
+    seen = {"depth 7": 0, "concurrent": 0, "split": 0, "known look": 0, "next row": 0}
 
     @st.composite
     def domains(draw):
@@ -647,6 +737,12 @@ def test_random_walks_beyond_criterion_2_stay_monotone_and_sound():
                 except EngineError:
                     pass
             assert set(state.knows_atoms()) <= set(nxt.knows_atoms())
+            # a step that does not split: next_row is step's newest row
+            for br, b in state.branches.items():
+                after = nxt.branches[br].timeline
+                if after.splits == b.timeline.splits:
+                    assert b.timeline.next_row(occ.get(br, ())) == after.layer[-1]
+                    seen["next row"] += 1
             for b in nxt.branches.values():
                 for t1 in range(nxt.horizon):
                     for t in range(t1 + 1):

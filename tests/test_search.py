@@ -434,6 +434,10 @@ def test_timeline_search_returns_the_plans_of_whole_state_search():
     cases.append((generate_sickness(5), benchmark_bounds("sickness", 5), (4, 4)))
     cases.append((generate_rings(3), benchmark_bounds("rings", 3), (4, 0)))
     cases.append((split_budget_domain(), (3, 2), (3, 2)))
+    # bomb(5), where the steps one below the horizon, which search
+    # handles without building a timeline, are 80% of the work
+    bounds = benchmark_bounds("bomb", 5)
+    cases.append((generate_bomb(5), bounds, bounds))
     # the branch budget at and around what sickness(4) needs
     steps, _branches = benchmark_bounds("sickness", 4)
     for max_branches in range(4):
@@ -476,10 +480,14 @@ def test_checked_search_catches_a_closure_that_misses_a_changed_point(monkeypatc
 # ---------------------------------------------------------------------------
 # search work
 
-# Timeline.step calls made by find_plan: on the benchmark families at
-# their benchmark bounds, on split_budget_domain, whose search resumes
-# the true side of a split after its false side failed, and over
-# criterion 2's 1000 domains, whose weak goals solve each split twice
+# Timeline steps made by find_plan: on the benchmark families at their
+# benchmark bounds, on split_budget_domain, whose search resumes the true
+# side of a split after its false side failed, and over criterion 2's
+# 1000 domains, whose weak goals solve each split twice.  A step is a
+# Timeline.step call or, one step below the horizon, a Timeline.next_row
+# call for a candidate that does not split; FIND_PLAN_STEPS counts both,
+# as every figure was pinned when each was a Timeline.step call, and
+# FIND_PLAN_FRONTIER_ROWS the next_row calls among them.
 FIND_PLAN_STEPS = {
     "bomb(4)": 150,
     "bomb(5)": 1220,
@@ -491,6 +499,18 @@ FIND_PLAN_STEPS = {
     "sickness(5)": 1023,
     "split_budget_domain": 177,
     "criterion 2": 12044,
+}
+FIND_PLAN_FRONTIER_ROWS = {
+    "bomb(4)": 112,
+    "bomb(5)": 975,
+    "bomb(6)": 11196,
+    "rings(2)": 95,
+    "rings(3)": 11243,
+    "sickness(3)": 19,
+    "sickness(4)": 68,
+    "sickness(5)": 321,
+    "split_budget_domain": 114,
+    "criterion 2": 4936,
 }
 
 
@@ -511,28 +531,39 @@ def test_find_plan_makes_the_pinned_number_of_timeline_steps(monkeypatch):
         (4, 2),
     )
 
-    real = Timeline.step
+    real_step = Timeline.step
+    real_next_row = Timeline.next_row
     steps = []  # splits so far of each timeline stepped, raising or not
     split = []  # splits so far of each timeline whose step split
+    rows = []  # occurrences of each next_row call, raising or not
 
     def counting(self, names, branch=0):
         steps.append(self.splits)
-        successors = real(self, names, branch)
+        successors = real_step(self, names, branch)
         if len(successors) == 2:
             split.append(self.splits)
         return successors
 
+    def counting_rows(self, names):
+        rows.append(names)
+        return real_next_row(self, names)
+
     monkeypatch.setattr(Timeline, "step", counting)
+    monkeypatch.setattr(Timeline, "next_row", counting_rows)
     counts = {}
+    frontier = {}
     for label, (domains, (max_steps, max_branches)) in cases.items():
         steps.clear()
         split.clear()
+        rows.clear()
         for d in domains:
             find_plan(d, max_steps, max_branches)
-        counts[label] = len(steps)
+        counts[label] = len(steps) + len(rows)
+        frontier[label] = len(rows)
         # no split is closed only to be refused on the branch budget
         assert all(splits + 1 <= max_branches for splits in split), label
     assert counts == FIND_PLAN_STEPS
+    assert frontier == FIND_PLAN_FRONTIER_ROWS
 
 
 @pytest.mark.parametrize(
