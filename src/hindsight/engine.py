@@ -56,8 +56,10 @@ names alone.  `CompiledDomain.occurrences` keeps, for each set that
 passed them, the union of its actions' executability masks (`need`),
 its rules and its sensed bit, so stepping a set seen before costs one
 mask test, `row & need == need`.  A new set, or one whose `need` the
-row misses, runs every check as before, so each rejection raises the
-same exception with the same message; a set that raised is not kept.
+row misses, runs every check, so each rejection raises the same
+exception with the same message; a set that raised is not kept.  So
+the interference check runs once per set that passes it, whether the
+set holds one action or many.
 
 `Timeline.next_row(names)` is the cheap form of a step that does not
 split: it validates `names` the same way and returns row h+1, building
@@ -195,11 +197,10 @@ def _clashes(compiled: CompiledDomain, rows: Iterable[int]) -> bool:
 
 class CompiledAction:
     """One action's masks: what must be known to run it (`need`), its
-    compiled effect rules, the literals it produces (`effects`), the bit
-    of the fluent it senses (-1 for a physical action), and whether its
-    own effects pass the interference check (`clean`)."""
+    compiled effect rules, the literals it produces (`effects`), and the
+    bit of the fluent it senses (-1 for a physical action)."""
 
-    __slots__ = ("action", "name", "need", "rules", "effects", "sensed", "clean")
+    __slots__ = ("action", "name", "need", "rules", "effects", "sensed")
 
     def __init__(self, action: Action, need: int, rules: tuple, sensed: int):
         self.action = action
@@ -210,11 +211,6 @@ class CompiledAction:
         for _cond, _falsifier, eff, _effc, _lone in rules:
             self.effects |= eff
         self.sensed = sensed
-        try:
-            _check_interference(action.effect_props, 0, 0)
-            self.clean = True
-        except ConcurrencyError:
-            self.clean = False
 
 
 class CompiledDomain:
@@ -336,15 +332,10 @@ class CompiledDomain:
                         f"requires {lit} to be known"
                     )
                 need |= a.need
-            if len(acts) == 1:
-                rules = acts[0].rules
-                if not acts[0].clean:
-                    _check_interference(acts[0].action.effect_props, step, branch)
-            else:
-                _check_interference(
-                    tuple(ep for a in acts for ep in a.action.effect_props), step, branch
-                )
-                rules = tuple(r for a in acts for r in a.rules)
+            _check_interference(
+                tuple(ep for a in acts for ep in a.action.effect_props), step, branch
+            )
+            rules = tuple(r for a in acts for r in a.rules)
         self.valid[names] = (need, rules, sensed)
         return rules, sensed
 
@@ -553,20 +544,12 @@ class Timeline:
                 )
         # no split: row h+1 is the only new row, and the old rows are shared
         new = compiled.forward_row(rules, row)
-        layer = self.layer + (new,)
-        inconsistent = _clashes(compiled, (new,))
         if self.checks:
-            # internal invariants; violations are engine bugs, hence asserts
-            assert not inconsistent, "a step that does not split made a clash"
-            # the closure from scratch of the old rows and an empty row h+1
-            # changes no row <= h and gives row h+1 exactly
-            again = [*self.layer, 0]
-            compiled.close_layer(history, again, range(len(again)))
-            assert tuple(again) == layer, "a step that does not split was not closed"
+            self._check_forward_row(rules, new)
         return (
             Timeline(
-                compiled, layer, history, self.splits, self.checks, inconsistent,
-                self, names, observation,
+                compiled, self.layer + (new,), history, self.splits, self.checks,
+                _clashes(compiled, (new,)), self, names, observation,
             ),
         )
 
@@ -596,14 +579,19 @@ class Timeline:
             )
         new = compiled.forward_row(rules, row)
         if self.checks:
-            # internal invariants; violations are engine bugs, hence asserts
-            assert not _clashes(compiled, (new,)), "a step that does not split made a clash"
-            again = [*self.layer, 0]
-            compiled.close_layer(self.rules + (rules,), again, range(len(again)))
-            assert tuple(again) == self.layer + (new,), (
-                "a step that does not split was not closed"
-            )
+            self._check_forward_row(rules, new)
         return new
+
+    def _check_forward_row(self, rules: tuple, new: int) -> None:
+        """The checked build's assertions on row h+1 `new` of a step that
+        does not split, with compiled rules `rules`: it has no clash, and
+        the closure from scratch of the old rows and an empty row h+1
+        changes no row <= h and gives `new` exactly."""
+        # internal invariants; violations are engine bugs, hence asserts
+        assert not _clashes(self.compiled, (new,)), "a step that does not split made a clash"
+        again = [*self.layer, 0]
+        self.compiled.close_layer(self.rules + (rules,), again, range(len(again)))
+        assert tuple(again) == self.layer + (new,), "a step that does not split was not closed"
 
     def _split(
         self,

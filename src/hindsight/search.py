@@ -15,11 +15,11 @@ one time point, so no search ever needed one (see _candidates).
 
 Four more cuts skip work that provably yields nothing, and so change
 no returned plan and no search order; each argument sits with its code.
-A node whose next split would break the branch budget offers no sensing
-candidate, instead of closing both sides of the split and then refusing
-it (_make_solver).  Within one split, a false-side search that found no
-plan is not run again for a later plan of the true side that leaves it
-the same weak flag and budgets (expand).  The optimal search tries no
+A node with no split left in the plan-wide split budget offers no
+sensing candidate, instead of closing both sides of the split and then
+refusing it (_make_solver).  Within one split, a false-side search that
+found no plan is not run again for a later plan of the true side that
+leaves it the same weak flag and budgets (expand).  The optimal search tries no
 horizon above its occurrence budget, and no occurrence budget above
 what a plan within the step and branch budgets can hold
 (find_optimal_plan).
@@ -437,14 +437,19 @@ def verify_plan(
 
 
 def _candidates(
-    compiled: CompiledDomain, timeline: Timeline, concurrent: bool, prune: bool = False
+    compiled: CompiledDomain,
+    timeline: Timeline,
+    concurrent: bool,
+    prune: bool = False,
+    sensing: bool = True,
 ) -> list[tuple[str, ...]]:
     """Occurrence sets to try: single actions in name order, or in
     concurrent mode action subsets smallest first with at most one
     sensor each.
 
     Sensing a fluent whose value is already known derives nothing and
-    is skipped.
+    is skipped.  Without `sensing` every sensor is skipped: the plan has
+    no split left (see _make_solver).
 
     Waiting (the empty set) is never a candidate.  An idle step applies
     nothing, so closing it copies row t to t+1, and persistence carries
@@ -470,7 +475,8 @@ def _candidates(
     for a in compiled.menu:
         if row & a.need != a.need:
             continue
-        if a.sensed >= 0 and row >> a.sensed & 3:  # either value known
+        # no split left, or either value known
+        if a.sensed >= 0 and (not sensing or row >> a.sensed & 3):
             continue
         if prune and a.effects and row & a.effects == a.effects:
             continue
@@ -496,7 +502,6 @@ MAX_STEPS = 256
 def _make_solver(
     compiled: CompiledDomain,
     horizon: int,
-    max_branches: int,
     concurrent: bool,
     prune: bool = False,
 ) -> Callable:
@@ -504,24 +509,20 @@ def _make_solver(
     horizon.
 
     solve(timeline, weak_required, occ_budget, split_budget) yields
-    (plan, occurrence_count, split_count) in search order; the budgets
-    are None for unbounded.
+    (plan, occurrence_count, split_count) in search order; the
+    occurrence budget is None for unbounded, the split budget always a
+    count.
 
-    A split is refused when replay would number its false side above
-    `max_branches`.  Replay gives a child the smallest unused index
-    above its parent, which keeps the indices of any state contiguous
-    from 0 (0..k after k splits), so a new child always takes the number
-    of splits so far plus one.  The state a search node stands for holds
-    exactly the splits on the way to it, which both sides of a split
-    count in `Timeline.splits`; hence the check `splits + 1 >
-    max_branches`.
-
-    solve makes that check before stepping anything: once it holds, it
-    leaves out every candidate that senses.  _candidates offers a sensor
-    only when the sensed value is unknown, and sensing an unknown value
-    always splits, so each candidate left out would have had both sides
-    of its split closed and then been refused (or would have failed the
-    concurrency check first).  None of them ever yielded a plan.
+    The split budget bounds the splits of the whole plan: _search starts
+    it at `max_branches`, a split takes one, and the false side gets
+    what the true side's plan leaves.  Replay numbers a plan with s
+    splits 0..s, so it accepts exactly the plans this budget admits; a
+    node's budget is at most `max_branches` less the splits on its path,
+    so no path ever reaches a branch index replay would refuse.
+    With no split left, _candidates offers no sensor.  It offers a
+    sensor only on an unknown value, which always splits, so every
+    candidate so left out would have had both sides of its split closed
+    and then been refused.  None of them ever yielded a plan.
     """
     weak = compiled.domain.goal_literals("weak")
     strong = compiled.mask(compiled.domain.goal_literals("strong"))
@@ -533,7 +534,7 @@ def _make_solver(
         timeline: Timeline,
         weak_required: bool,
         occ_budget: int | None,
-        split_budget: int | None,
+        split_budget: int,
     ) -> Iterator[tuple[ConditionalPlan, int, int]]:
         need = both if weak_required else strong
         if timeline.layer[-1] & need == need:
@@ -541,10 +542,7 @@ def _make_solver(
             return
         if timeline.horizon >= horizon:
             return
-        candidates = _candidates(compiled, timeline, concurrent, prune)
-        if sensors and timeline.splits + 1 > max_branches:
-            # no split fits: leave out every candidate that senses
-            candidates = [acts for acts in candidates if sensors.isdisjoint(acts)]
+        candidates = _candidates(compiled, timeline, concurrent, prune, split_budget >= 1)
         # on the frontier a successor's only test is its newest row's goal
         # test, so a step that does not split builds no timeline there
         frontier = timeline.horizon + 1 == horizon
@@ -569,7 +567,7 @@ def _make_solver(
         acts: tuple[str, ...],
         weak_required: bool,
         occ_budget: int | None,
-        split_budget: int | None,
+        split_budget: int,
     ) -> Iterator[tuple[ConditionalPlan, int, int]]:
         """Plans that start by applying `acts` to `timeline`.
 
@@ -595,9 +593,7 @@ def _make_solver(
             yes, no = successors
             if yes.inconsistent or no.inconsistent:
                 return
-            if split_budget is not None and split_budget < 1:
-                return
-            splits_left = None if split_budget is None else split_budget - 1
+            splits_left = split_budget - 1
             if weak_required and weak:
                 orders = ((True, False), (False, True))
             else:
@@ -609,7 +605,7 @@ def _make_solver(
                     yes, parent_weak, remaining, splits_left
                 ):
                     rem2 = None if remaining is None else remaining - p_cost
-                    sb2 = None if splits_left is None else splits_left - p_splits
+                    sb2 = splits_left - p_splits
                     key = (child_weak, rem2, sb2)
                     if key in refuted:
                         continue
@@ -685,7 +681,7 @@ def _search(
     if root.inconsistent:
         return None
     for occ_budget, horizon in chain([first], restarts):
-        solve = _make_solver(root.compiled, horizon, max_branches, concurrent, prune)
+        solve = _make_solver(root.compiled, horizon, concurrent, prune)
         # the search's generators are dropped before the replay runs
         hit = next(solve(root, True, occ_budget, max_branches), None)
         if hit is not None:

@@ -458,12 +458,26 @@ def _rejected_occurrences():
             Action("down", effect_props=(EffectProposition("down_1", neg("f")),)),
         ),
     )
+    # one action whose own two effects clash
+    flip = PlanningDomain(
+        fluents=("f",),
+        actions=(
+            Action(
+                "flip",
+                effect_props=(
+                    EffectProposition("flip_1", pos("f")),
+                    EffectProposition("flip_2", neg("f")),
+                ),
+            ),
+        ),
+    )
     return [
         (door_domain, ("fly",), EngineError),
         (door_domain, ("open_door", "open_door"), ConcurrencyError),
         (lambda: two_lookers, ("look_a", "look_b"), ConcurrencyError),
         (door_domain, ("drive",), ExecutabilityError),
         (lambda: clash, ("down", "up"), ConcurrencyError),
+        (lambda: flip, ("flip",), ConcurrencyError),
     ]
 
 

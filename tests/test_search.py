@@ -295,8 +295,8 @@ def test_leaving_out_waits_changes_no_returned_plan(monkeypatch):
 
     real = search._candidates
 
-    def with_waits(state, branch, concurrent, prune=False):
-        return real(state, branch, concurrent, prune) + [()]
+    def with_waits(compiled, timeline, concurrent, prune=False, sensing=True):
+        return real(compiled, timeline, concurrent, prune, sensing) + [()]
 
     monkeypatch.setattr(search, "_candidates", with_waits)
     reference = [_searches(*case) for case in cases]
@@ -358,18 +358,18 @@ def _reference_first_plan(domain, horizon, max_branches, concurrent, occ_budget,
                 ):
                     yield Step(acts, None, None, sub, None), cost + sub_cost, sub_splits
                 continue
-            if split_budget is not None and split_budget < 1:
+            if split_budget < 1:
                 continue
             child, born = new_branches[0]
             fluent = born.timeline.observation[0]
-            splits_left = None if split_budget is None else split_budget - 1
+            splits_left = split_budget - 1
             orders = ((True, False), (False, True)) if weak_required and weak else ((False, False),)
             for parent_weak, child_weak in orders:
                 for p_plan, p_cost, p_splits in solve(
                     nxt, branch, t + 1, parent_weak, remaining, splits_left
                 ):
                     rem2 = None if remaining is None else remaining - p_cost
-                    sb2 = None if splits_left is None else splits_left - p_splits
+                    sb2 = splits_left - p_splits
                     for c_plan, c_cost, c_splits in solve(
                         nxt, child, t + 1, child_weak, rem2, sb2
                     ):
@@ -438,6 +438,10 @@ def test_timeline_search_returns_the_plans_of_whole_state_search():
     # handles without building a timeline, are 80% of the work
     bounds = benchmark_bounds("bomb", 5)
     cases.append((generate_bomb(5), bounds, bounds))
+    # split_budget_domain at the other branch budgets, where the plan-wide
+    # split budget cuts more than the branches on one path would
+    for max_branches in (0, 1, 3):
+        cases.append((split_budget_domain(), (3, max_branches), (3, max_branches)))
     # the branch budget at and around what sickness(4) needs
     steps, _branches = benchmark_bounds("sickness", 4)
     for max_branches in range(4):
@@ -448,14 +452,6 @@ def test_timeline_search_returns_the_plans_of_whole_state_search():
     assert found == [_reference_searches(*case) for case in cases]
     assert sum(plans[0] is not None for plans in found) > 80
     assert [plans[0] is None for plans in found[-4:]] == [True, True, True, False]
-
-    # with no split budget, only the branch indices bound the splits
-    d = generate_sickness(4)
-    for max_branches in range(4):
-        root = initial_state(d, steps, max_branches, checks=False).branches[0].timeline
-        solve = search._make_solver(root.compiled, steps, max_branches, False)
-        plan = next((plan for plan, _cost, _splits in solve(root, True, None, None)), None)
-        assert plan == _reference_first_plan(d, steps, max_branches, False, None, None)
 
 
 def test_checked_search_catches_a_closure_that_misses_a_changed_point(monkeypatch):
@@ -497,7 +493,7 @@ FIND_PLAN_STEPS = {
     "sickness(3)": 51,
     "sickness(4)": 198,
     "sickness(5)": 1023,
-    "split_budget_domain": 177,
+    "split_budget_domain": 165,
     "criterion 2": 12044,
 }
 FIND_PLAN_FRONTIER_ROWS = {
@@ -651,7 +647,7 @@ def _reference_optimal_plan(domain, max_steps, max_branches, concurrent):
     per_step = len(domain.actions) if concurrent else 1
     for budget in range(max_steps * (max_branches + 1) * per_step + 1):
         for horizon in range(min(max_steps, budget) + 1):
-            solve = search._make_solver(root.compiled, horizon, max_branches, concurrent)
+            solve = search._make_solver(root.compiled, horizon, concurrent)
             hit = next(solve(root, True, budget, max_branches), None)
             if hit is not None:
                 return hit[0]
