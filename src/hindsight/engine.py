@@ -98,7 +98,10 @@ to row h:
 Row h+1 has no clash either: a literal persists only if its complement
 did not possibly fire, while a caused effect did, and two opposite
 caused effects would need row h to hold mutually exclusive conditions.
-So only the new row is tested for a clash.
+The old rows are shared and have none, since only a consistent timeline
+is stepped.  So a step that does not split makes a consistent successor
+without testing it; the checked build asserts that its new row has no
+clash.
 
 A split adds a sensing result to row h, so the rules may postdict into
 the past: a worklist over pairs starts at the changed points h and
@@ -549,7 +552,7 @@ class Timeline:
         return (
             Timeline(
                 compiled, self.layer + (new,), history, self.splits, self.checks,
-                _clashes(compiled, (new,)), self, names, observation,
+                False, self, names, observation,
             ),
         )
 
@@ -559,11 +562,11 @@ class Timeline:
 
         Validates `names` as `step` does and raises what it raises (the
         messages name branch 0).  A sensor on a value the newest row does
-        not know would split, and raises EngineError.  A clash in the row
-        is what would make the successor `inconsistent`.  With `checks`,
-        asserts what a checked `step` asserts of its new row: no clash,
-        and the row a from-scratch closure of the old rows and an empty
-        row h+1 gives.  It never calls `step`.
+        not know would split, and raises EngineError.  The row has no
+        clash (see the module docstring).  With `checks`, asserts what a
+        checked `step` asserts of its new row: no clash, and the row a
+        from-scratch closure of the old rows and an empty row h+1 gives.
+        It never calls `step`.
         """
         if self.inconsistent:
             raise EngineError("cannot step an inconsistent state")

@@ -31,13 +31,30 @@ successor is at the horizon and either is a leaf or yields nothing.
 So solve handles each candidate that does not sense there itself, in
 expand's order: the occurrence-budget check, then `Timeline.next_row`
 for row h+1 (a candidate the interference rules reject is skipped, as
-expand skips it), then a row with a clash is dropped, as expand drops
-an inconsistent successor, and a row that meets the goal yields the
-one-step plan expand would have built around the successor's Leaf.  A
-sensing candidate always splits (_candidates offers a sensor only on an
-unknown value), and still goes through expand.  The yields, their costs
-and their order are those of expand, so no returned plan changes; the
-replay of every returned plan by verify_plan still guards it.
+expand skips it), and a row that meets the goal yields the one-step
+plan expand would have built around the successor's Leaf.  Row h+1 of
+a step that does not split has no clash (engine.py), so no successor
+there is inconsistent.  A sensing candidate always splits (_candidates
+offers a sensor only on an unknown value), and still goes through
+expand.  The yields, their costs and their order are those of expand,
+so no returned plan changes; the replay of every returned plan by
+verify_plan still guards it.
+
+The frontier also decides part of that goal test before computing the
+row.  Row h+1 of a step that does not split is the part of row h that
+persists plus the effects its rules cause (`CompiledDomain.forward_row`),
+so each goal literal row h lacks (`missing`) must be an effect of the
+candidate's own actions.  A candidate whose effect mask does not cover
+`missing` therefore misses the goal, and next_row is not called for
+it.  At a node that cannot split (no split budget left, or no sensor in
+the domain) every candidate is such a step, and none of them covers
+more goal literals than the solver's per-step count: the most goal bits
+one action's effects hold, or all actions' together under concurrency.
+A node missing more goal literals than that yields nothing, and returns
+before listing its candidates.  Both tests only answer the goal test
+early, so no yield, cost or order changes.  The checked build still
+computes the row of every candidate they skip and asserts that it
+misses the goal.
 
 Every plan a search returns has been replayed once through the engine
 from scratch by verify_plan, which is also the public checker for plans
@@ -527,8 +544,16 @@ def _make_solver(
     weak = compiled.domain.goal_literals("weak")
     strong = compiled.mask(compiled.domain.goal_literals("strong"))
     both = strong | compiled.mask(weak)
+    actions = compiled.actions
     sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
-    even = compiled.even
+    # the most goal literals one occurrence set can cause (module docstring)
+    if concurrent:
+        union = 0
+        for a in compiled.menu:
+            union |= a.effects
+        per_step = (union & both).bit_count()
+    else:
+        per_step = max(((a.effects & both).bit_count() for a in compiled.menu), default=0)
 
     def solve(
         timeline: Timeline,
@@ -537,29 +562,42 @@ def _make_solver(
         split_budget: int,
     ) -> Iterator[tuple[ConditionalPlan, int, int]]:
         need = both if weak_required else strong
-        if timeline.layer[-1] & need == need:
+        row = timeline.layer[-1]
+        if row & need == need:
             yield Leaf(), 0, 0
             return
         if timeline.horizon >= horizon:
             return
-        candidates = _candidates(compiled, timeline, concurrent, prune, split_budget >= 1)
+        sensing = split_budget >= 1
         # on the frontier a successor's only test is its newest row's goal
         # test, so a step that does not split builds no timeline there
         frontier = timeline.horizon + 1 == horizon
-        for acts in candidates:
+        if frontier:
+            missing = need & ~row
+            if (not sensing or not sensors) and missing.bit_count() > per_step:
+                if timeline.checks:
+                    for acts in _candidates(compiled, timeline, concurrent, prune, sensing):
+                        _check_misses(timeline, acts, need)
+                return
+        for acts in _candidates(compiled, timeline, concurrent, prune, sensing):
             # a sensor here always splits
             if not frontier or not sensors.isdisjoint(acts):
                 yield from expand(timeline, acts, weak_required, occ_budget, split_budget)
                 continue
             if occ_budget is not None and len(acts) > occ_budget:
                 continue
+            effects = 0
+            for name in acts:
+                effects |= actions[name].effects
+            if missing & ~effects:
+                if timeline.checks:
+                    _check_misses(timeline, acts, need)
+                continue
             try:
-                row = timeline.next_row(acts)
+                nxt = timeline.next_row(acts)
             except ConcurrencyError:
                 continue
-            if row & (row >> 1) & even:  # an inconsistent successor
-                continue
-            if row & need == need:
+            if nxt & need == need:
                 yield Step(acts, None, None, Leaf(), None), len(acts), 0
 
     def expand(
@@ -620,15 +658,25 @@ def _make_solver(
                     if not solved:
                         refuted.add(key)
         else:
-            nxt = successors[0]
-            if nxt.inconsistent:
-                return
+            # a step that does not split makes no clash (engine.py)
             for sub, sub_cost, sub_splits in solve(
-                nxt, weak_required, remaining, split_budget
+                successors[0], weak_required, remaining, split_budget
             ):
                 yield Step(acts, None, None, sub, None), cost + sub_cost, sub_splits
 
     return solve
+
+
+def _check_misses(timeline: Timeline, acts: tuple[str, ...], need: int) -> None:
+    """The checked build's independent check of the frontier's mask
+    test: the row h+1 of a candidate it skipped misses the goal `need`.
+    A set the interference rules reject is skipped either way."""
+    try:
+        row = timeline.next_row(acts)
+    except ConcurrencyError:
+        return
+    # an internal invariant; a violation is a search bug, hence an assert
+    assert row & need != need, f"the frontier's mask test skipped {acts}, which meets the goal"
 
 
 def _search(

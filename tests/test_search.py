@@ -147,6 +147,52 @@ def split_budget_domain() -> PlanningDomain:
     )
 
 
+def _physical_action(name, *effects, executability=()):
+    return Action(
+        name,
+        effect_props=tuple(
+            EffectProposition(f"{name}_{i}", lit) for i, lit in enumerate(effects, 1)
+        ),
+        executability=executability,
+    )
+
+
+def goal_pair_domain() -> PlanningDomain:
+    """`finish` makes both goal literals, and only once `ready` holds, so
+    the plan ends with it: its last step must cause two goal literals,
+    the most any one action causes."""
+    return PlanningDomain(
+        fluents=("ready", "a", "b"),
+        actions=(
+            _physical_action("finish", pos("a"), pos("b"), executability=(pos("ready"),)),
+            _physical_action("make_a", pos("a")),
+            _physical_action("make_ready", pos("ready")),
+        ),
+        init=(neg("ready"), neg("a"), neg("b")),
+        goals=(GoalProposition("strong", (pos("a"), pos("b"))),),
+    )
+
+
+def weak_pair_domain() -> PlanningDomain:
+    """goal_pair_domain with `b` owed by one branch only: the last step
+    must cause a strong and a weak goal literal."""
+    return dataclasses.replace(
+        goal_pair_domain(),
+        goals=(GoalProposition("strong", (pos("a"),)), GoalProposition("weak", (pos("b"),))),
+    )
+
+
+def concurrent_pair_domain() -> PlanningDomain:
+    """`c` already holds; `a` and `b` come from two actions, so one step
+    meets the goal only with both of them."""
+    return PlanningDomain(
+        fluents=("a", "b", "c"),
+        actions=(_physical_action("make_a", pos("a")), _physical_action("make_b", pos("b"))),
+        init=(neg("a"), neg("b"), pos("c")),
+        goals=(GoalProposition("strong", (pos("a"), pos("b"), pos("c"))),),
+    )
+
+
 # ---------------------------------------------------------------------------
 # find_plan
 
@@ -442,6 +488,10 @@ def test_timeline_search_returns_the_plans_of_whole_state_search():
     # split budget cuts more than the branches on one path would
     for max_branches in (0, 1, 3):
         cases.append((split_budget_domain(), (3, max_branches), (3, max_branches)))
+    # the frontier's mask test at its limits: two goal literals from one
+    # action, a weak goal literal among them, and a goal only a pair meets
+    for domain in (goal_pair_domain(), weak_pair_domain(), concurrent_pair_domain()):
+        cases.append((domain, (3, 0), (2, 0)))
     # the branch budget at and around what sickness(4) needs
     steps, _branches = benchmark_bounds("sickness", 4)
     for max_branches in range(4):
@@ -474,6 +524,123 @@ def test_checked_search_catches_a_closure_that_misses_a_changed_point(monkeypatc
 
 
 # ---------------------------------------------------------------------------
+# the frontier's mask test
+
+
+def test_the_last_step_may_cause_as_many_goal_literals_as_one_action_can():
+    finish = Step(("make_ready",), None, None, Step(("finish",), None, None, Leaf(), None), None)
+    for domain in (goal_pair_domain(), weak_pair_domain()):
+        assert find_plan(domain, 3, 0) == finish
+        assert find_optimal_plan(domain, 3, 0) == finish
+
+
+def test_a_concurrent_step_covers_the_missing_goal_with_a_pair():
+    d = concurrent_pair_domain()
+    pair = Step(("make_a", "make_b"), None, None, Leaf(), None)
+    assert find_plan(d, 2, 0, concurrent=True) == pair
+    assert find_optimal_plan(d, 2, 0, concurrent=True) == pair
+    # one action a step needs a step for each
+    assert plan_depth(find_plan(d, 2, 0)) == 2
+
+
+def test_checked_searches_assert_each_skipped_frontier_row_misses_the_goal(monkeypatch):
+    """The checked build computes the row of each candidate the mask test
+    skips and asserts that it misses the goal; the plans are unchanged."""
+    cases = []
+    for generate, kind, n in (
+        (generate_bomb, "bomb", 5),
+        (generate_rings, "rings", 2),
+        (generate_sickness, "sickness", 3),
+    ):
+        cases.append((kind, generate(n), benchmark_bounds(kind, n), False))
+    cases.append(("yale", yale_goal_domain(), (2, 1), False))
+    for domain in (goal_pair_domain, weak_pair_domain, concurrent_pair_domain):
+        cases.append((domain.__name__, domain(), (3, 0), False))
+    cases.append(("concurrent_pair_domain", concurrent_pair_domain(), (2, 0), True))
+    found = []
+    for _label, d, (steps, branches), concurrent in cases:
+        for search_for in (find_plan, find_optimal_plan):
+            found.append(search_for(d, steps, branches, concurrent=concurrent, checks=False))
+    real = search._check_misses
+    checked = []
+
+    def counting(timeline, acts, need):
+        checked.append(acts)
+        real(timeline, acts, need)
+
+    monkeypatch.setattr(search, "_check_misses", counting)
+    again = []
+    for label, d, (steps, branches), concurrent in cases:
+        for search_for in (find_plan, find_optimal_plan):
+            plan = search_for(d, steps, branches, concurrent=concurrent, checks=True)
+            assert plan is not None, label
+            again.append(plan)
+    assert again == found
+    assert len(checked) > 1000
+
+
+def _duplicate_an_action(domain: PlanningDomain) -> PlanningDomain:
+    """The domain with a copy, under a new name, of the action that
+    causes the most goal literals (the first such in declaration order)."""
+    goal = set(domain.goal_literals("strong") + domain.goal_literals("weak"))
+    original = max(
+        domain.actions, key=lambda a: sum(ep.effect in goal for ep in a.effect_props)
+    )
+    name = f"{original.name}_copy"
+    copy = dataclasses.replace(
+        original,
+        name=name,
+        effect_props=tuple(
+            dataclasses.replace(ep, id=f"{name}_{i}")
+            for i, ep in enumerate(original.effect_props, 1)
+        ),
+    )
+    return dataclasses.replace(domain, actions=domain.actions + (copy,))
+
+
+def _add_an_idle_fluent(domain: PlanningDomain) -> PlanningDomain:
+    """The domain with a fluent nothing reads and an action that touches
+    only it."""
+    return dataclasses.replace(
+        domain,
+        fluents=domain.fluents + ("idle",),
+        actions=domain.actions + (_physical_action("touch_idle", pos("idle")),),
+    )
+
+
+def _metamorphic_cases():
+    from test_acceptance import _random_domain
+
+    cases = [(_random_domain(random.Random(774000 + i)), (4, 2)) for i in range(200)]
+    for generate, kind, sizes in (
+        (generate_bomb, "bomb", (4, 5)),
+        (generate_rings, "rings", (2,)),
+        (generate_sickness, "sickness", (3, 4)),
+    ):
+        for n in sizes:
+            cases.append((generate(n), benchmark_bounds(kind, n)))
+    return cases
+
+
+def _search_shape(domain, bounds):
+    """Plan existence, find_plan's depth and find_optimal_plan's
+    occurrence count (None when there is no plan)."""
+    first = find_plan(domain, *bounds, checks=False)
+    if first is None:
+        return None
+    best = find_optimal_plan(domain, *bounds, checks=False)
+    return plan_depth(first), count_occurrences(best)
+
+
+@pytest.mark.parametrize("change", [_duplicate_an_action, _add_an_idle_fluent])
+def test_actions_that_add_no_goal_reach_keep_the_search_shape(change):
+    cases = _metamorphic_cases()
+    shapes = [_search_shape(d, bounds) for d, bounds in cases]
+    assert [_search_shape(change(d), bounds) for d, bounds in cases] == shapes
+    assert sum(shape is not None for shape in shapes) > 80
+
+
+# ---------------------------------------------------------------------------
 # search work
 
 # Timeline steps made by find_plan: on the benchmark families at their
@@ -483,30 +650,31 @@ def test_checked_search_catches_a_closure_that_misses_a_changed_point(monkeypatc
 # Timeline.step call or, one step below the horizon, a Timeline.next_row
 # call for a candidate that does not split; FIND_PLAN_STEPS counts both,
 # as every figure was pinned when each was a Timeline.step call, and
-# FIND_PLAN_FRONTIER_ROWS the next_row calls among them.
+# FIND_PLAN_FRONTIER_ROWS the next_row calls among them.  A frontier
+# candidate whose effects cannot complete the goal makes neither call.
 FIND_PLAN_STEPS = {
-    "bomb(4)": 150,
-    "bomb(5)": 1220,
-    "bomb(6)": 13437,
-    "rings(2)": 153,
-    "rings(3)": 15570,
-    "sickness(3)": 51,
-    "sickness(4)": 198,
-    "sickness(5)": 1023,
+    "bomb(4)": 39,
+    "bomb(5)": 246,
+    "bomb(6)": 2242,
+    "rings(2)": 59,
+    "rings(3)": 4328,
+    "sickness(3)": 37,
+    "sickness(4)": 146,
+    "sickness(5)": 767,
     "split_budget_domain": 165,
-    "criterion 2": 12044,
+    "criterion 2": 7871,
 }
 FIND_PLAN_FRONTIER_ROWS = {
-    "bomb(4)": 112,
-    "bomb(5)": 975,
-    "bomb(6)": 11196,
-    "rings(2)": 95,
-    "rings(3)": 11243,
-    "sickness(3)": 19,
-    "sickness(4)": 68,
-    "sickness(5)": 321,
+    "bomb(4)": 1,
+    "bomb(5)": 1,
+    "bomb(6)": 1,
+    "rings(2)": 1,
+    "rings(3)": 1,
+    "sickness(3)": 5,
+    "sickness(4)": 16,
+    "sickness(5)": 65,
     "split_budget_domain": 114,
-    "criterion 2": 4936,
+    "criterion 2": 763,
 }
 
 
@@ -552,8 +720,9 @@ def test_find_plan_makes_the_pinned_number_of_timeline_steps(monkeypatch):
         steps.clear()
         split.clear()
         rows.clear()
+        # the checked build also computes the rows of skipped candidates
         for d in domains:
-            find_plan(d, max_steps, max_branches)
+            find_plan(d, max_steps, max_branches, checks=False)
         counts[label] = len(steps) + len(rows)
         frontier[label] = len(rows)
         # no split is closed only to be refused on the branch budget
