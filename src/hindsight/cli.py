@@ -296,6 +296,16 @@ def main(argv=None) -> int:
             domain = parse_domain(Path(args.file).read_text(encoding="utf-8"))
             return _run_search(args.file, domain, args, None)
         generator = _GENERATORS[args.family]
+        # an instance the step budget can never hold is refused before it
+        # is generated, which takes long for a large --n
+        needed, _branches = benchmark_bounds(args.family, args.n)
+        if needed > MAX_STEPS:
+            print(
+                f"error: {args.family}({args.n}) needs {needed} steps, "
+                f"more than the {MAX_STEPS} allowed",
+                file=sys.stderr,
+            )
+            return EXIT_INPUT
         try:
             domain = generator(args.n)
         except ValueError as exc:

@@ -13,16 +13,50 @@ timeline, so a search validates and compiles its domain once.  Every
 search step applies at least one action: a wait only shifts the state
 one time point, so no search ever needed one (see _candidates).
 
-Four more cuts skip work that provably yields nothing, and so change
-no returned plan and no search order; each argument sits with its code.
-A node with no split left in the plan-wide split budget offers no
-sensing candidate, instead of closing both sides of the split and then
-refusing it (_make_solver).  Within one split, a false-side search that
-found no plan is not run again for a later plan of the true side that
-leaves it the same weak flag and budgets (expand).  The optimal search tries no
-horizon above its occurrence budget, and no occurrence budget above
-what a plan within the step and branch budgets can hold
-(find_optimal_plan).
+Six more cuts skip work that provably yields nothing, and so change
+no returned plan and no search order; each argument sits with its code
+or below.  A node with no split left in the plan-wide split budget
+offers no sensing candidate, instead of closing both sides of the split
+and then refusing it (_make_solver).  Within one split, a false-side
+search that found no plan is not run again for a later plan of the true
+side that leaves it the same weak flag and budgets (expand).  The
+optimal search tries no horizon above its occurrence budget, and no
+occurrence budget above what a plan within the step and branch budgets
+can hold (find_optimal_plan).
+
+The fifth and sixth cuts prune below a timeline that cannot split: its
+split budget is 0, or no action of the domain senses.  No step below it
+splits, and row h+1 of a step that does not split is the part of row h
+that persists plus the effects its rules cause
+(`CompiledDomain.forward_row`; engine.py's one-pass argument).  Which
+occurrence sets are executable reads row h alone, and which ones the
+interference rules reject reads their names alone.  So what solve
+yields below such a timeline depends only on its newest row, the steps
+d left to its horizon, the weak flag and the occurrence budget.  And a
+goal literal that row lacks (`missing`) is gained only as an effect of
+an occurrence below it.
+
+The fifth cut is a goal-count bound, h_max-style counting (Bonet &
+Geffner, AIJ 129, 2001).  One occurrence causes at most `per_occ` goal
+literals, the most goal bits one action's effects hold, and one step at
+most `per_step`: per_occ, or all actions' goal bits together under
+concurrency.  A node missing more than d × per_step goal literals, or
+more than its occurrence budget × per_occ, yields nothing, and returns
+before listing its candidates.
+
+The sixth cut is a dead-end table, the transposition table of iterative
+deepening (Reinefeld & Marsland, IEEE TPAMI 16(7), 1994).  One table
+serves every restart of a _search call, at every horizon and occurrence
+budget.  It maps (row, weak flag) to the (d, occurrence budget) pairs
+whose search ran out without yielding, a budget of None being
+unbounded.  Fewer steps left or a smaller budget admit a subset of the
+same plans, so a node is skipped when a recorded pair has both a d and
+a budget at least as large as its own.  A node is recorded only when
+its generator ran out without yielding (one closed after a yield may
+have had more plans), and only when d >= 2: one step below the horizon,
+the frontier costs no more than the lookup.  The table is emptied when
+it reaches MAX_DEAD_ENDS keys.  The checked build expands every subtree
+either cut skips and asserts that it yields nothing.
 
 The frontier is not a cut: it does the same work in a cheaper form.  A
 node one step below its horizon has nothing left to search below each
@@ -41,20 +75,12 @@ so no returned plan changes; the replay of every returned plan by
 verify_plan still guards it.
 
 The frontier also decides part of that goal test before computing the
-row.  Row h+1 of a step that does not split is the part of row h that
-persists plus the effects its rules cause (`CompiledDomain.forward_row`),
-so each goal literal row h lacks (`missing`) must be an effect of the
-candidate's own actions.  A candidate whose effect mask does not cover
-`missing` therefore misses the goal, and next_row is not called for
-it.  At a node that cannot split (no split budget left, or no sensor in
-the domain) every candidate is such a step, and none of them covers
-more goal literals than the solver's per-step count: the most goal bits
-one action's effects hold, or all actions' together under concurrency.
-A node missing more goal literals than that yields nothing, and returns
-before listing its candidates.  Both tests only answer the goal test
-early, so no yield, cost or order changes.  The checked build still
-computes the row of every candidate they skip and asserts that it
-misses the goal.
+row.  By the argument above, each goal literal row h lacks must be an
+effect of the candidate's own actions, so a candidate whose effect mask
+does not cover `missing` misses the goal, and next_row is not called
+for it.  This only answers the goal test early, so no yield, cost or
+order changes.  The checked build still computes the row of every
+candidate it skips and asserts that it misses the goal.
 
 Every plan a search returns has been replayed once through the engine
 from scratch by verify_plan, which is also the public checker for plans
@@ -514,6 +540,8 @@ def _candidates(
 # The command line caps its step budget here, and parse_atoms, whose
 # build() recurses once per step, rejects any later step.
 MAX_STEPS = 256
+# A search's dead-end table is emptied when it reaches this many keys.
+MAX_DEAD_ENDS = 1 << 16
 
 
 def _make_solver(
@@ -521,6 +549,7 @@ def _make_solver(
     horizon: int,
     concurrent: bool,
     prune: bool = False,
+    dead_ends: dict | None = None,
 ) -> Callable:
     """Build the recursive timeline solver for one compiled domain and
     horizon.
@@ -528,7 +557,8 @@ def _make_solver(
     solve(timeline, weak_required, occ_budget, split_budget) yields
     (plan, occurrence_count, split_count) in search order; the
     occurrence budget is None for unbounded, the split budget always a
-    count.
+    count.  `dead_ends` is the dead-end table the restarts of one search
+    share (module docstring); without it the solver keeps its own.
 
     The split budget bounds the splits of the whole plan: _search starts
     it at `max_branches`, a split takes one, and the false side gets
@@ -546,14 +576,16 @@ def _make_solver(
     both = strong | compiled.mask(weak)
     actions = compiled.actions
     sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
-    # the most goal literals one occurrence set can cause (module docstring)
+    # the most goal literals one occurrence, and one step, can cause
+    per_occ = max(((a.effects & both).bit_count() for a in compiled.menu), default=0)
+    per_step = per_occ
     if concurrent:
         union = 0
         for a in compiled.menu:
             union |= a.effects
         per_step = (union & both).bit_count()
-    else:
-        per_step = max(((a.effects & both).bit_count() for a in compiled.menu), default=0)
+    if dead_ends is None:
+        dead_ends = {}
 
     def solve(
         timeline: Timeline,
@@ -566,23 +598,36 @@ def _make_solver(
         if row & need == need:
             yield Leaf(), 0, 0
             return
-        if timeline.horizon >= horizon:
+        d = horizon - timeline.horizon
+        if d <= 0:
             return
         sensing = split_budget >= 1
+        missing = need & ~row
+        key = None
+        if not sensing or not sensors:
+            # the timeline cannot split: the fifth and sixth cuts
+            short = missing.bit_count()
+            if d >= 2:
+                key = (row, weak_required)
+            if (
+                short > d * per_step
+                or occ_budget is not None and short > occ_budget * per_occ
+                or key is not None
+                and any(_covers(*seen, d, occ_budget) for seen in dead_ends.get(key, ()))
+            ):
+                if timeline.checks:
+                    assert_dead(timeline, weak_required, occ_budget, split_budget)
+                return
         # on the frontier a successor's only test is its newest row's goal
         # test, so a step that does not split builds no timeline there
-        frontier = timeline.horizon + 1 == horizon
-        if frontier:
-            missing = need & ~row
-            if (not sensing or not sensors) and missing.bit_count() > per_step:
-                if timeline.checks:
-                    for acts in _candidates(compiled, timeline, concurrent, prune, sensing):
-                        _check_misses(timeline, acts, need)
-                return
+        frontier = d == 1
+        found = False
         for acts in _candidates(compiled, timeline, concurrent, prune, sensing):
             # a sensor here always splits
             if not frontier or not sensors.isdisjoint(acts):
-                yield from expand(timeline, acts, weak_required, occ_budget, split_budget)
+                for hit in expand(timeline, acts, weak_required, occ_budget, split_budget):
+                    found = True
+                    yield hit
                 continue
             if occ_budget is not None and len(acts) > occ_budget:
                 continue
@@ -599,6 +644,34 @@ def _make_solver(
                 continue
             if nxt & need == need:
                 yield Step(acts, None, None, Leaf(), None), len(acts), 0
+        if key is not None and not found:
+            if len(dead_ends) >= MAX_DEAD_ENDS:
+                dead_ends.clear()
+            entries = dead_ends.setdefault(key, [])
+            entries[:] = [seen for seen in entries if not _covers(d, occ_budget, *seen)]
+            entries.append((d, occ_budget))
+
+    def assert_dead(
+        timeline: Timeline,
+        weak_required: bool,
+        occ_budget: int | None,
+        split_budget: int,
+    ) -> None:
+        """The checked build's independent check of the fifth and sixth
+        cuts: the node they skipped yields nothing.  Every successor is
+        expanded, or on the frontier its row goal-tested, so every cut
+        below is checked in turn."""
+        need = both if weak_required else strong
+        frontier = timeline.horizon + 1 == horizon
+        for acts in _candidates(compiled, timeline, concurrent, prune, split_budget >= 1):
+            if occ_budget is not None and len(acts) > occ_budget:
+                continue
+            if frontier:
+                _check_misses(timeline, acts, need)
+            else:
+                # an internal invariant; a violation is a search bug, hence an assert
+                hit = next(expand(timeline, acts, weak_required, occ_budget, split_budget), None)
+                assert hit is None, f"a cut skipped {acts}, which leads to a plan"
 
     def expand(
         timeline: Timeline,
@@ -667,16 +740,26 @@ def _make_solver(
     return solve
 
 
+def _covers(d: int, budget: int | None, other_d: int, other_budget: int | None) -> bool:
+    """Whether a search that yielded nothing with `d` steps left and
+    occurrence budget `budget` (None: unbounded) shows that the same
+    search with `other_d` and `other_budget` yields nothing too."""
+    return d >= other_d and (
+        budget is None or other_budget is not None and budget >= other_budget
+    )
+
+
 def _check_misses(timeline: Timeline, acts: tuple[str, ...], need: int) -> None:
     """The checked build's independent check of the frontier's mask
-    test: the row h+1 of a candidate it skipped misses the goal `need`.
-    A set the interference rules reject is skipped either way."""
+    test and of the cuts one step below the horizon: the row h+1 of a
+    candidate they skipped misses the goal `need`.  A set the
+    interference rules reject is skipped either way."""
     try:
         row = timeline.next_row(acts)
     except ConcurrencyError:
         return
     # an internal invariant; a violation is a search bug, hence an assert
-    assert row & need != need, f"the frontier's mask test skipped {acts}, which meets the goal"
+    assert row & need != need, f"the search skipped {acts}, which meets the goal"
 
 
 def _search(
@@ -728,8 +811,9 @@ def _search(
     root = initial_state(domain, first[1], max_branches, checks).branches[0].timeline
     if root.inconsistent:
         return None
+    dead_ends: dict = {}  # shared by every restart (module docstring)
     for occ_budget, horizon in chain([first], restarts):
-        solve = _make_solver(root.compiled, horizon, concurrent, prune)
+        solve = _make_solver(root.compiled, horizon, concurrent, prune, dead_ends)
         # the search's generators are dropped before the replay runs
         hit = next(solve(root, True, occ_budget, max_branches), None)
         if hit is not None:

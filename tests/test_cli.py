@@ -317,6 +317,14 @@ MAX_RESTARTS = 10_000
         # no sensor, so no plan splits and the branch budget adds no occurrences
         (("solve", "sensor_free.hpx", "--optimal", "--max-steps", "8",
           "--max-branches", "1000000000"), 1),
+        # an instance deeper than the step limit is refused before it is
+        # generated, whatever --max-steps says
+        (("bench", "bomb", "--n", "257"), 2),
+        (("bench", "bomb", "--n", "300"), 2),
+        (("bench", "bomb", "--n", "100000000"), 2),
+        (("bench", "rings", "--n", "86"), 2),
+        (("bench", "sickness", "--n", "256"), 2),
+        (("bench", "sickness", "--n", "20000", "--max-steps", "2"), 2),
     ],
 )
 def test_garbage_input_and_extreme_budgets_exit_cleanly(

@@ -36,9 +36,12 @@ from hindsight.model import (
     EffectProposition,
     GoalProposition,
     KnowledgeProposition,
+    Literal,
+    OneofConstraint,
     PlanningDomain,
     neg,
     pos,
+    validate_domain,
 )
 from hindsight.oracle import soundness_check
 from hindsight.parser import parse_domain
@@ -641,6 +644,238 @@ def test_actions_that_add_no_goal_reach_keep_the_search_shape(change):
 
 
 # ---------------------------------------------------------------------------
+# the cuts below a timeline that cannot split, against a brute force
+
+
+def _wide_random_domain(rng: random.Random, sensors: int) -> PlanningDomain:
+    """A valid random domain beyond criterion 2's limits: 5-7 fluents,
+    3-5 actions with up to two effects each, `sensors` of them sensing,
+    and goals of up to four literals, so that a node can miss several.  Effects
+    are often conditioned on an earlier action's effect, and goal
+    literals are mostly effects, so that plans are common and some are
+    deep."""
+    fluents = tuple(f"f{i}" for i in range(1, rng.randint(5, 7) + 1))
+
+    def literal() -> Literal:
+        return Literal(rng.choice(fluents), rng.random() < 0.5)
+
+    while True:
+        actions = []
+        caused: list[Literal] = []
+        read: list[Literal] = []
+        for ai in range(1, rng.randint(3, 5) - sensors + 1):
+            name = f"a{ai}"
+            executability = (literal(),) if rng.random() < 0.15 else ()
+            effects = []
+            for ei in range(1, rng.randint(1, 2) + 1):
+                conditions = ()
+                if caused and rng.random() < 0.6:
+                    # often the previous action's effect: a chain of steps
+                    conditions = (caused[-1] if rng.random() < 0.6 else rng.choice(caused),)
+                elif rng.random() < 0.3:
+                    conditions = (literal(),)
+                effects.append(EffectProposition(f"{name}_{ei}", literal(), conditions))
+                read += conditions
+            caused += [ep.effect for ep in effects]
+            actions.append(Action(name, effect_props=tuple(effects), executability=executability))
+        # a sensor mostly reads an effect or a condition, where postdiction
+        # can teach more than the sensed value
+        for si in range(1, sensors + 1):
+            watched = rng.choice(caused + read) if rng.random() < 0.8 else literal()
+            actions.append(Action(f"s{si}", knowledge_props=(KnowledgeProposition(watched.fluent),)))
+
+        def goal(size: int) -> tuple[Literal, ...]:
+            return tuple(
+                rng.choice(caused[-2:] if rng.random() < 0.5 else caused)
+                if caused and rng.random() < 0.85
+                else literal()
+                for _ in range(size)
+            )
+
+        def init(fluent: str) -> Literal:
+            """Mostly the opposite of what the actions cause, so that
+            effects and the conditions on them have work to do."""
+            made = [lit.positive for lit in caused if lit.fluent == fluent]
+            if made and rng.random() < 0.8:
+                return Literal(fluent, not made[0])
+            return Literal(fluent, rng.random() < 0.5)
+
+        known = rng.sample(fluents, rng.randint(len(fluents) // 2, len(fluents)))
+        unknown = [f for f in fluents if f not in known]
+        oneofs = ()
+        if len(unknown) >= 2 and rng.random() < 0.3:
+            members = rng.sample(unknown, rng.randint(2, min(3, len(unknown))))
+            oneofs = (OneofConstraint(tuple(pos(f) for f in members)),)
+        goals = [GoalProposition("strong", goal(rng.randint(3, 4) if not sensors else rng.randint(1, 3)))]
+        if rng.random() < 0.4:
+            goals.append(GoalProposition("weak", goal(rng.randint(1, 2))))
+        domain = PlanningDomain(
+            fluents=fluents,
+            actions=tuple(actions),
+            init=tuple(init(f) for f in known),
+            oneofs=oneofs,
+            goals=tuple(goals),
+        )
+        if validate_domain(domain).ok:
+            return domain
+
+
+def _brute_force_shape(domain, max_steps, max_branches, concurrent=False):
+    """(shallowest horizon, fewest occurrences) of any plan within the
+    budgets, or None without one, by plain recursion over Timeline.step.
+
+    Every occurrence set is tried at every step: sensors on known values
+    too, and no bound, table or frontier.  A split takes one of the
+    plan's split budget, its sides share the rest in every way, and
+    either side may owe the weak goal.  A result is kept per timeline
+    object only, which never changes."""
+    root = initial_state(domain, max_steps, max_branches, checks=False).branches[0].timeline
+    if root.inconsistent:
+        return None
+    compiled = root.compiled
+    strong = compiled.mask(domain.goal_literals("strong"))
+    both = strong | compiled.mask(domain.goal_literals("weak"))
+    names = [a.name for a in domain.actions]
+    sets = [(n,) for n in names]
+    if concurrent:
+        sets = [c for k in range(2, len(names) + 1) for c in combinations(names, k)] + sets
+    memo = {}
+
+    def fewest(timeline, d, weak_required, splits):
+        need = both if weak_required else strong
+        if timeline.layer[-1] & need == need:
+            return 0
+        if d == 0:
+            return None
+        key = (id(timeline), d, weak_required, splits)
+        if key in memo:
+            return memo[key][1]
+        costs = []
+        for acts in sets:
+            try:
+                successors = timeline.step(acts)
+            except EngineError:
+                continue
+            if any(s.inconsistent for s in successors):
+                continue
+            if len(successors) == 1:
+                rest = [fewest(successors[0], d - 1, weak_required, splits)]
+            else:
+                yes, no = successors
+                owed = ((True, False), (False, True)) if weak_required else ((False, False),)
+                rest = [
+                    None if a is None or b is None else a + b
+                    for first in range(splits)
+                    for w_yes, w_no in owed
+                    for a in [fewest(yes, d - 1, w_yes, first)]
+                    for b in [fewest(no, d - 1, w_no, splits - 1 - first)]
+                ]
+            costs += [len(acts) + r for r in rest if r is not None]
+        memo[key] = (timeline, min(costs, default=None))
+        return memo[key][1]
+
+    depths = [d for d in range(max_steps + 1) if fewest(root, d, True, max_branches) is not None]
+    if not depths:
+        return None
+    return depths[0], fewest(root, max_steps, True, max_branches)
+
+
+def _wide_random_cases():
+    """Derandomized wide domains with their budgets: split budgets 0, 1
+    and 2 mixed, horizons up to 6 where no split can happen."""
+    rng = random.Random(2206)
+    cases = []
+    for i in range(200):
+        domain = _wide_random_domain(rng, i % 3)
+        sensing = any(a.is_sensing for a in domain.actions)
+        max_branches = rng.choice((0, 1, 2, 2)) if sensing else rng.choice((0, 2))
+        max_steps = rng.randint(3, 4) if sensing and max_branches else rng.randint(4, 6)
+        cases.append((domain, max_steps, max_branches))
+    return cases
+
+
+def test_search_depth_and_cost_match_a_brute_force_on_wide_random_domains():
+    compared = []
+    for domain, max_steps, max_branches in _wide_random_cases():
+        first = find_plan(domain, max_steps, max_branches)
+        best = find_optimal_plan(domain, max_steps, max_branches)
+        shape = None if first is None else (plan_depth(first), count_occurrences(best))
+        assert shape == _brute_force_shape(domain, max_steps, max_branches), domain
+        compared.append((shape, max_branches))
+    # plans with and without a split budget, and deep ones among them
+    assert sum(shape is not None and b == 0 for shape, b in compared) > 10
+    assert sum(shape is not None and b > 0 for shape, b in compared) > 5
+    assert sum(shape is not None and shape[0] >= 3 for shape, _b in compared) > 10
+    assert sum(shape is not None and shape[0] >= 4 for shape, _b in compared) > 2
+    # concurrent steps, where one step can cause more than one action's goals
+    for domain, max_steps, max_branches in _wide_random_cases()[:20]:
+        max_steps = min(max_steps, 3)
+        best = find_optimal_plan(domain, max_steps, max_branches, concurrent=True)
+        first = find_plan(domain, max_steps, max_branches, concurrent=True)
+        shape = None if first is None else (plan_depth(first), count_occurrences(best))
+        assert shape == _brute_force_shape(domain, max_steps, max_branches, True), domain
+
+
+def _permute_declarations(domain: PlanningDomain, rng: random.Random) -> PlanningDomain:
+    """The domain with its fluents, actions, effects, initial literals,
+    oneof groups and members and goals declared in a shuffled order."""
+
+    def shuffled(items):
+        """A derangement of `items`: none stays where it was."""
+        items = list(items)
+        order = list(range(len(items)))
+        while len(items) > 1 and any(i == j for i, j in enumerate(order)):
+            rng.shuffle(order)
+        return tuple(items[j] for j in order)
+
+    return dataclasses.replace(
+        domain,
+        fluents=shuffled(domain.fluents),
+        actions=shuffled(
+            dataclasses.replace(a, effect_props=shuffled(a.effect_props)) for a in domain.actions
+        ),
+        init=shuffled(domain.init),
+        oneofs=shuffled(
+            dataclasses.replace(group, literals=shuffled(group.literals))
+            for group in domain.oneofs
+        ),
+        goals=shuffled(domain.goals),
+    )
+
+
+def test_permuted_declarations_keep_the_search_shape_and_the_replayed_atoms():
+    """Permuting the declarations moves every bit position, so the dead-end
+    table's keys and the goal-count bound's masks all change."""
+    from test_acceptance import _random_domain
+
+    rng = random.Random(1404)
+    cases = [(_random_domain(random.Random(774000 + i)), (4, 2)) for i in range(150)]
+    cases += [(d, (m, b)) for d, m, b in _wide_random_cases()[:40]]
+    for generate, kind, sizes in (
+        (generate_bomb, "bomb", (4, 5)),
+        (generate_rings, "rings", (2, 3)),
+        (generate_sickness, "sickness", (3, 4)),
+    ):
+        for n in sizes:
+            cases.append((generate(n), benchmark_bounds(kind, n)))
+    solved = 0
+    for domain, bounds in cases:
+        permuted = _permute_declarations(domain, rng)
+        assert permuted.fluents != domain.fluents or len(domain.fluents) < 2
+        shape = _search_shape(domain, bounds)
+        assert _search_shape(permuted, bounds) == shape
+        if shape is None:
+            continue
+        solved += 1
+        plan = find_plan(domain, *bounds, checks=False)
+        report = verify_plan(domain, plan, *bounds, checks=False)
+        again = verify_plan(permuted, plan, *bounds, checks=False)
+        assert again.ok
+        assert set(again.state.all_atoms()) == set(report.state.all_atoms())
+    assert solved > 80
+
+
+# ---------------------------------------------------------------------------
 # search work
 
 # Timeline steps made by find_plan: on the benchmark families at their
@@ -651,18 +886,20 @@ def test_actions_that_add_no_goal_reach_keep_the_search_shape(change):
 # call for a candidate that does not split; FIND_PLAN_STEPS counts both,
 # as every figure was pinned when each was a Timeline.step call, and
 # FIND_PLAN_FRONTIER_ROWS the next_row calls among them.  A frontier
-# candidate whose effects cannot complete the goal makes neither call.
+# candidate whose effects cannot complete the goal makes neither call,
+# and neither does a node that cannot split when the goal-count bound
+# or the dead-end table skips it.
 FIND_PLAN_STEPS = {
-    "bomb(4)": 39,
-    "bomb(5)": 246,
-    "bomb(6)": 2242,
-    "rings(2)": 59,
-    "rings(3)": 4328,
+    "bomb(4)": 11,
+    "bomb(5)": 16,
+    "bomb(6)": 22,
+    "rings(2)": 37,
+    "rings(3)": 352,
     "sickness(3)": 37,
     "sickness(4)": 146,
     "sickness(5)": 767,
     "split_budget_domain": 165,
-    "criterion 2": 7871,
+    "criterion 2": 5915,
 }
 FIND_PLAN_FRONTIER_ROWS = {
     "bomb(4)": 1,
@@ -674,7 +911,7 @@ FIND_PLAN_FRONTIER_ROWS = {
     "sickness(4)": 16,
     "sickness(5)": 65,
     "split_budget_domain": 114,
-    "criterion 2": 763,
+    "criterion 2": 530,
 }
 
 
