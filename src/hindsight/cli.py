@@ -39,7 +39,6 @@ from .search import (
     MAX_STEPS,
     PlanSearchError,
     _search,
-    count_occurrences,
     extract_atoms,
     find_optimal_plan,  # noqa: F401  perfbench/spans.py traces it under this name
     find_plan,  # noqa: F401  perfbench/spans.py traces it under this name
@@ -101,9 +100,7 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--optimal", action="store_true",
                    help="search for the fewest action occurrences, not the first plan")
     p.add_argument("--optimize", action="store_true",
-                   help="compile static relations to holds/1 facts in the emitted "
-                        "program and prune actions with no new effect (may miss "
-                        "plans that re-fire a known effect to enable postdiction)")
+                   help="compile static relations to holds/1 facts in the emitted program")
     p.add_argument("--oracle-check", action="store_true",
                    help="replay the plan against the possible-worlds semantics")
     p.add_argument("--emit-asp", metavar="PATH",
@@ -212,10 +209,7 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
         )
 
     started = time.perf_counter()
-    found = _search(
-        domain, steps, branches,
-        optimal=args.optimal, concurrent=args.concurrent, prune=args.optimize,
-    )
+    found = _search(domain, steps, branches, optimal=args.optimal, concurrent=args.concurrent)
     wall = time.perf_counter() - started
 
     base = dict(
@@ -259,7 +253,7 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
         oracle=oracle_text,
     )
     summary = (
-        f"plan found: {count_occurrences(plan)} occurrences in {wall:.3f}s "
+        f"plan found: {verification.occurrences} occurrences in {wall:.3f}s "
         f"(steps={steps}, branches={branches}, {mode})\n"
         "knowledge atoms per stage: "
         + " ".join(str(c) for c in counts)

@@ -795,12 +795,7 @@ class EpistemicState:
         return nxt
 
     def _scan_inconsistent(self) -> bool:
-        even = self.compiled.even
-        for b in self.branches.values():
-            for row in b.layer(self.horizon):
-                if row & (row >> 1) & even:
-                    return True
-        return False
+        return any(_clashes(self.compiled, b.layer(self.horizon)) for b in self.branches.values())
 
     # -- atom dump ---------------------------------------------------------------
 

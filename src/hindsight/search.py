@@ -24,10 +24,10 @@ optimal search tries no horizon above its occurrence budget, and no
 occurrence budget above what a plan within the step and branch budgets
 can hold (find_optimal_plan).
 
-The fifth and sixth cuts prune below a timeline that cannot split: its
-split budget is 0, or no action of the domain senses.  No step below it
-splits, and row h+1 of a step that does not split is the part of row h
-that persists plus the effects its rules cause
+The fifth and sixth cuts skip work below a timeline that cannot split:
+its split budget is 0, or no action of the domain senses.  No step
+below it splits, and row h+1 of a step that does not split is the part
+of row h that persists plus the effects its rules cause
 (`CompiledDomain.forward_row`; engine.py's one-pass argument).  Which
 occurrence sets are executable reads row h alone, and which ones the
 interference rules reject reads their names alone.  So what solve
@@ -54,9 +54,11 @@ same plans, so a node is skipped when a recorded pair has both a d and
 a budget at least as large as its own.  A node is recorded only when
 its generator ran out without yielding (one closed after a yield may
 have had more plans), and only when d >= 2: one step below the horizon,
-the frontier costs no more than the lookup.  The table is emptied when
-it reaches MAX_DEAD_ENDS keys.  The checked build expands every subtree
-either cut skips and asserts that it yields nothing.
+the frontier costs no more than the lookup.  Once the table holds
+MAX_DEAD_ENDS keys it takes no new key, but still updates the keys it
+holds, so a full table forgets no dead end it recorded.  The checked
+build expands every subtree either cut skips and asserts that it yields
+nothing.
 
 The frontier is not a cut: it does the same work in a cheaper form.  A
 node one step below its horizon has nothing left to search below each
@@ -483,8 +485,7 @@ def _candidates(
     compiled: CompiledDomain,
     timeline: Timeline,
     concurrent: bool,
-    prune: bool = False,
-    sensing: bool = True,
+    sensing: bool,
 ) -> list[tuple[str, ...]]:
     """Occurrence sets to try: single actions in name order, or in
     concurrent mode action subsets smallest first with at most one
@@ -506,12 +507,6 @@ def _candidates(
     under iterative deepening it was also tried one horizon earlier.
     No search ever returned a wait, so leaving waits out changes no
     returned plan and no horizon; it only skips the subtrees below them.
-
-    With `prune`, physical actions whose every effect literal is
-    already known true are also skipped.  That loses completeness in
-    one contrived corner — re-firing a known effect un-anchors it from
-    inertia, and sensing it afterwards can reveal the effect's
-    condition via postdiction — so it stays opt-in.
     """
     row = timeline.layer[-1]
     names = []
@@ -520,8 +515,6 @@ def _candidates(
             continue
         # no split left, or either value known
         if a.sensed >= 0 and (not sensing or row >> a.sensed & 3):
-            continue
-        if prune and a.effects and row & a.effects == a.effects:
             continue
         names.append(a.name)
     if not concurrent:
@@ -540,7 +533,8 @@ def _candidates(
 # The command line caps its step budget here, and parse_atoms, whose
 # build() recurses once per step, rejects any later step.
 MAX_STEPS = 256
-# A search's dead-end table is emptied when it reaches this many keys.
+# A search's dead-end table takes no new key once it holds this many;
+# it still updates the keys it holds.
 MAX_DEAD_ENDS = 1 << 16
 
 
@@ -548,7 +542,6 @@ def _make_solver(
     compiled: CompiledDomain,
     horizon: int,
     concurrent: bool,
-    prune: bool = False,
     dead_ends: dict | None = None,
 ) -> Callable:
     """Build the recursive timeline solver for one compiled domain and
@@ -622,7 +615,7 @@ def _make_solver(
         # test, so a step that does not split builds no timeline there
         frontier = d == 1
         found = False
-        for acts in _candidates(compiled, timeline, concurrent, prune, sensing):
+        for acts in _candidates(compiled, timeline, concurrent, sensing):
             # a sensor here always splits
             if not frontier or not sensors.isdisjoint(acts):
                 for hit in expand(timeline, acts, weak_required, occ_budget, split_budget):
@@ -644,9 +637,7 @@ def _make_solver(
                 continue
             if nxt & need == need:
                 yield Step(acts, None, None, Leaf(), None), len(acts), 0
-        if key is not None and not found:
-            if len(dead_ends) >= MAX_DEAD_ENDS:
-                dead_ends.clear()
+        if key is not None and not found and (len(dead_ends) < MAX_DEAD_ENDS or key in dead_ends):
             entries = dead_ends.setdefault(key, [])
             entries[:] = [seen for seen in entries if not _covers(d, occ_budget, *seen)]
             entries.append((d, occ_budget))
@@ -663,7 +654,7 @@ def _make_solver(
         below is checked in turn."""
         need = both if weak_required else strong
         frontier = timeline.horizon + 1 == horizon
-        for acts in _candidates(compiled, timeline, concurrent, prune, split_budget >= 1):
+        for acts in _candidates(compiled, timeline, concurrent, split_budget >= 1):
             if occ_budget is not None and len(acts) > occ_budget:
                 continue
             if frontier:
@@ -771,7 +762,6 @@ def _search(
     concurrent: bool,
     deepen: bool = True,
     checks: bool | None = None,
-    prune: bool = False,
 ) -> tuple[ConditionalPlan, VerificationReport] | None:
     """The first plan of find_plan's restarts, or of find_optimal_plan's
     when `optimal`, with the report of its one replay at the full
@@ -813,7 +803,7 @@ def _search(
         return None
     dead_ends: dict = {}  # shared by every restart (module docstring)
     for occ_budget, horizon in chain([first], restarts):
-        solve = _make_solver(root.compiled, horizon, concurrent, prune, dead_ends)
+        solve = _make_solver(root.compiled, horizon, concurrent, dead_ends)
         # the search's generators are dropped before the replay runs
         hit = next(solve(root, True, occ_budget, max_branches), None)
         if hit is not None:
@@ -835,7 +825,6 @@ def find_plan(
     concurrent: bool = False,
     deepen: bool = True,
     checks: bool | None = None,
-    prune: bool = False,
 ) -> ConditionalPlan | None:
     """First plan found, at the smallest workable horizon.
 
@@ -846,7 +835,7 @@ def find_plan(
     """
     found = _search(
         domain, max_steps, max_branches,
-        optimal=False, concurrent=concurrent, deepen=deepen, checks=checks, prune=prune,
+        optimal=False, concurrent=concurrent, deepen=deepen, checks=checks,
     )
     return None if found is None else found[0]
 
@@ -858,7 +847,6 @@ def find_optimal_plan(
     *,
     concurrent: bool = False,
     checks: bool | None = None,
-    prune: bool = False,
 ) -> ConditionalPlan | None:
     """Plan with the fewest action occurrences within the budgets.
 
@@ -887,6 +875,6 @@ def find_optimal_plan(
     """
     found = _search(
         domain, max_steps, max_branches,
-        optimal=True, concurrent=concurrent, checks=checks, prune=prune,
+        optimal=True, concurrent=concurrent, checks=checks,
     )
     return None if found is None else found[0]

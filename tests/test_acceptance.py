@@ -519,7 +519,7 @@ def test_criterion_8_growth_is_polynomial_cubic_at_most():
         for n in sizes:
             domain = generate_bomb(n)
             started = time.perf_counter()
-            plan = find_plan(domain, n, 0, deepen=False, prune=True)
+            plan = find_plan(domain, n, 0, deepen=False)
             walls.append(time.perf_counter() - started)
             assert plan is not None
             # measure on the canonical dunk-everything replay

@@ -501,3 +501,36 @@ def test_ladder_rungs_keep_their_pinned_outputs(capsys, tmp_path, monkeypatch, r
         _sha256(pathlib.Path("d.lp").read_text(encoding="utf-8")),
     )
     assert digests == LADDER_DIGESTS[rung]
+
+
+# A random domain (seed 900353 of test_search's wide generator) whose
+# first plan changes if the search skips an action all of whose effects
+# are known: on the -f5 side of its split, a1's one effect is.
+SKIPPABLE_EFFECT = """
+(:fluents f1 f2 f3 f4 f5 f6) (:init f6 f1 f3)
+(:action a1 :effect (when f5 -f5)) (:action a2 :effect (when -f5 -f1))
+(:action a3 :effect (when f6 f1) (when -f1 -f4)) (:action s1 :observe f5)
+(:goal strong (and -f1 -f4))
+"""
+
+
+@pytest.mark.parametrize("rung", [*LADDER_DIGESTS, "wide(900353)"])
+def test_optimize_changes_no_solve_output(capsys, tmp_path, monkeypatch, rung):
+    """`--optimize` shapes only the emitted program: solve prints the
+    same plan records and report with it as without it."""
+    if rung == "wide(900353)":
+        text, (steps, branches) = SKIPPABLE_EFFECT, (5, 2)
+    else:
+        text, (steps, branches) = _ladder_text(rung)
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("d.hpx").write_text(text, encoding="utf-8")
+    outputs = []
+    for optimize in ((), ("--optimize",)):
+        code, out, _ = run(capsys, "solve", "d.hpx", "--max-steps", str(steps),
+                           "--max-branches", str(branches), "--format", "json-lines",
+                           *optimize)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        del records[-1]["wall_seconds"]
+        outputs.append(records)
+    assert outputs[0] == outputs[1]

@@ -118,21 +118,6 @@ def test_two_rooms_close_and_lock_everything_in_five_steps():
     assert count_occurrences(plan) == 5
 
 
-@pytest.mark.parametrize(
-    "family,n",
-    [("bomb", n) for n in (4, 5, 6)]
-    + [("rings", n) for n in (2, 3)]
-    + [("sickness", n) for n in (3, 4, 5)],
-)
-def test_redundant_action_pruning_leaves_the_benchmark_plans_unchanged(family, n):
-    """The README promises that `--optimize` pruning changes no plan of
-    the benchmark families; these are the ladder's rungs."""
-    generate = {"bomb": generate_bomb, "rings": generate_rings, "sickness": generate_sickness}
-    dom = generate[family](n)
-    bounds = benchmark_bounds(family, n)
-    assert find_plan(dom, *bounds, prune=True) == find_plan(dom, *bounds)
-
-
 # -- diagnosis -----------------------------------------------------------------
 
 

@@ -344,8 +344,8 @@ def test_leaving_out_waits_changes_no_returned_plan(monkeypatch):
 
     real = search._candidates
 
-    def with_waits(compiled, timeline, concurrent, prune=False, sensing=True):
-        return real(compiled, timeline, concurrent, prune, sensing) + [()]
+    def with_waits(compiled, timeline, concurrent, sensing):
+        return real(compiled, timeline, concurrent, sensing) + [()]
 
     monkeypatch.setattr(search, "_candidates", with_waits)
     reference = [_searches(*case) for case in cases]
@@ -966,6 +966,45 @@ def test_find_plan_makes_the_pinned_number_of_timeline_steps(monkeypatch):
         assert all(splits + 1 <= max_branches for splits in split), label
     assert counts == FIND_PLAN_STEPS
     assert frontier == FIND_PLAN_FRONTIER_ROWS
+
+
+def test_a_full_dead_end_table_keeps_its_keys_and_changes_no_plan(monkeypatch):
+    """With the dead-end table capped far below what these searches
+    record, both searches return the plans of the uncapped table, no
+    table holds more keys than the cap, and a full table still updates
+    the keys it holds."""
+    cases = [(generate_rings(3), benchmark_bounds("rings", 3))]
+    cases.append((generate_bomb(6), benchmark_bounds("bomb", 6)))
+    cases += [(d, (max_steps, b)) for d, max_steps, b in _wide_random_cases()[:50]]
+    uncapped = [(find_plan(d, *bounds), find_optimal_plan(d, *bounds)) for d, bounds in cases]
+
+    cap = 8
+
+    class Watched(dict):
+        most = 0  # the most keys any table held
+        full_updates = 0  # entries recorded under a key of a full table
+
+        def setdefault(self, key, default=None):
+            if len(self) >= cap:
+                Watched.full_updates += 1
+            entries = super().setdefault(key, default)
+            Watched.most = max(Watched.most, len(self))
+            return entries
+
+    real = search._make_solver
+    current = {}  # the search's own table, and the one standing in for it
+
+    def watched(compiled, horizon, concurrent, dead_ends=None):
+        if current.get("table") is not dead_ends:
+            current.update(table=dead_ends, stand_in=Watched())
+        return real(compiled, horizon, concurrent, current["stand_in"])
+
+    monkeypatch.setattr(search, "MAX_DEAD_ENDS", cap)
+    monkeypatch.setattr(search, "_make_solver", watched)
+    capped = [(find_plan(d, *bounds), find_optimal_plan(d, *bounds)) for d, bounds in cases]
+    assert capped == uncapped
+    assert Watched.most == cap
+    assert Watched.full_updates > 0
 
 
 @pytest.mark.parametrize(
