@@ -46,6 +46,7 @@ from .search import (
     plan_records,
     verify_plan,  # noqa: F401  perfbench/spans.py traces it under this name
 )
+from .symmetry import find_families
 
 __all__ = ["RunReport", "main"]
 
@@ -187,6 +188,12 @@ def _run_validate(args) -> int:
         f"ok: {len(domain.fluents)} fluents, {len(domain.actions)} actions, "
         f"{eps} effect propositions, {len(domain.goals)} goal propositions"
     )
+    families = [
+        f"{len(f.blocks)} interchangeable blocks such as "
+        + " ".join(f.blocks[0].fluents + f.blocks[0].actions)
+        for f in find_families(domain)
+    ]
+    print(f"symmetry: {'; '.join(families) or 'none found'}")
     return EXIT_OK
 
 

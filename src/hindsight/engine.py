@@ -125,6 +125,7 @@ from hindsight.model import (
     PlanningDomain,
     validate_domain,
 )
+from hindsight.symmetry import find_families
 
 CHECKS_ENV_VAR = "HINDSIGHT_CHECK"
 
@@ -253,6 +254,28 @@ class CompiledDomain:
         # names -> (need, rules, sensed) of each occurrence set that passed
         # the checks that do not read knowledge (see `occurrences`)
         self.valid: dict[tuple[str, ...], tuple[int, tuple, int]] = {}
+        # find_mirrors' table, None until it is first called
+        self.mirrors: dict[str, tuple[int, int, tuple[int, ...]]] | None = None
+
+    def find_mirrors(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+        """The actions of the domain's interchangeable blocks
+        (symmetry.find_families), each as (place, block, bits): `place`
+        numbers its family and its place in its block, `block` numbers
+        its block, and `bits` are the true bits of the block's fluents,
+        in the order every block of the family lists them.  Kept in
+        `mirrors`, so the blocks are looked for at most once per compiled
+        domain."""
+        if self.mirrors is None:
+            self.mirrors = {}
+            place = block = 0
+            for family in find_families(self.domain):
+                for b in family.blocks:
+                    bits = tuple(2 * self.findex[f] for f in b.fluents)
+                    for p, name in enumerate(b.actions, place):
+                        self.mirrors[name] = (p, block, bits)
+                    block += 1
+                place += len(family.blocks[0].actions)
+        return self.mirrors
 
     def bit(self, lit: Literal) -> int:
         return self.findex[lit.fluent] * 2 + (0 if lit.positive else 1)

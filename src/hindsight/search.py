@@ -13,7 +13,7 @@ timeline, so a search validates and compiles its domain once.  Every
 search step applies at least one action: a wait only shifts the state
 one time point, so no search ever needed one (see _candidates).
 
-Six more cuts skip work that provably yields nothing, and so change
+Seven more cuts skip work that provably yields nothing, and so change
 no returned plan and no search order; each argument sits with its code
 or below.  A node with no split left in the plan-wide split budget
 offers no sensing candidate, instead of closing both sides of the split
@@ -59,6 +59,32 @@ MAX_DEAD_ENDS keys it takes no new key, but still updates the keys it
 holds, so a full table forgets no dead end it recorded.  The checked
 build expands every subtree either cut skips and asserts that it yields
 nothing.
+
+The seventh cut skips a mirror image of a candidate that yielded
+nothing: symmetry pruning in state-space search (Fox & Long, IJCAI
+1999; Pochter, Zohar & Rosenschein, AAAI 2011).  symmetry.py finds
+families of interchangeable blocks of the domain: every permutation of
+a family's blocks, renaming the i-th fluent or action of one block to
+the i-th of another, maps the domain onto itself.  At a node that can
+split, a single-action candidate that expand ran to the end without a
+yield records its key (_mirror_key): its family and its place in its
+block, and its block's two bits per fluent in every row of the layer.
+There is no key when a link of the timeline's chain names an action of
+that block.  A later candidate whose key is recorded there is skipped.
+Equal keys for an action A of block i and an action B of block j mean
+that the swap σ of the two blocks maps every row of the layer to
+itself, and every link's occurrences, and so the rules applied at each
+step, to themselves: σ fixes the timeline, and maps A to B.  The
+closure, the budgets and every cut read structure, never names (names
+only order the candidates), so σ maps the plans below the timeline
+after A one to one onto those after B, at the same occurrence and split
+costs, and B yields nothing either.  A candidate that yielded is never
+recorded, so no yield, yield order or returned plan changes.  The cut
+works where the fifth and sixth do not, at timelines that can split, so
+a search that can make no split never looks for blocks; a search looks
+for them at its first key, once per compiled domain
+(`CompiledDomain.find_mirrors`).  The checked build expands every
+candidate the cut skips and asserts that it yields nothing.
 
 The frontier is not a cut: it does the same work in a cheaper form.  A
 node one step below its horizon has nothing left to search below each
@@ -597,6 +623,9 @@ def _make_solver(
         sensing = split_budget >= 1
         missing = need & ~row
         key = None
+        # the mirror keys of the candidates here that yielded nothing, or
+        # None where the seventh cut does not work
+        failed = None
         if not sensing or not sensors:
             # the timeline cannot split: the fifth and sixth cuts
             short = missing.bit_count()
@@ -611,6 +640,9 @@ def _make_solver(
                 if timeline.checks:
                     assert_dead(timeline, weak_required, occ_budget, split_budget)
                 return
+        elif compiled.mirrors != {}:
+            # it can split, and the domain is not known to have no block
+            failed = set()
         # on the frontier a successor's only test is its newest row's goal
         # test, so a step that does not split builds no timeline there
         frontier = d == 1
@@ -618,9 +650,24 @@ def _make_solver(
         for acts in _candidates(compiled, timeline, concurrent, sensing):
             # a sensor here always splits
             if not frontier or not sensors.isdisjoint(acts):
+                mirror = None
+                if failed:
+                    mirror = _mirror_key(timeline, acts)
+                    if mirror in failed:
+                        if timeline.checks:
+                            # an internal invariant; a violation is a search bug, hence an assert
+                            hit = next(expand(timeline, acts, weak_required, occ_budget, split_budget), None)
+                            assert hit is None, f"the symmetry cut skipped {acts}, which leads to a plan"
+                        continue
+                yielded = False
                 for hit in expand(timeline, acts, weak_required, occ_budget, split_budget):
-                    found = True
+                    found = yielded = True
                     yield hit
+                if not yielded and failed is not None:
+                    if not failed:
+                        mirror = _mirror_key(timeline, acts)
+                    if mirror is not None:
+                        failed.add(mirror)
                 continue
             if occ_budget is not None and len(acts) > occ_budget:
                 continue
@@ -729,6 +776,38 @@ def _make_solver(
                 yield Step(acts, None, None, sub, None), cost + sub_cost, sub_splits
 
     return solve
+
+
+def _mirror_key(timeline: Timeline, acts: tuple[str, ...]) -> tuple[int, int] | None:
+    """The seventh cut's key of candidate `acts` at `timeline`: its place
+    in its family's blocks and its block's bits in every row of the
+    layer, or None for a set of more than one action, an action in no
+    block, and a block one of whose actions the timeline's chain names
+    (module docstring)."""
+    if len(acts) != 1:
+        return None
+    links = []
+    link = timeline
+    while link.prev is not None:
+        # an action is in its own block: no need to look the blocks up
+        if acts[0] in link.names:
+            return None
+        links.append(link)
+        link = link.prev
+    mirrors = timeline.compiled.find_mirrors()
+    entry = mirrors.get(acts[0])
+    if entry is None:
+        return None
+    place, block, bits = entry
+    for link in links:
+        for name in link.names:
+            if name in mirrors and mirrors[name][1] == block:
+                return None
+    key = 0
+    for row in timeline.layer:
+        for bit in bits:
+            key = key << 2 | row >> bit & 3
+    return place, key
 
 
 def _covers(d: int, budget: int | None, other_d: int, other_budget: int | None) -> bool:

@@ -220,6 +220,23 @@ def test_validate_accepts_the_door_domain(capsys):
     assert out.startswith("ok: 3 fluents, 3 actions")
 
 
+def test_validate_reports_the_interchangeable_blocks(capsys, tmp_path):
+    from hindsight.generators import generate_sickness
+    from hindsight.parser import render_domain
+
+    code, out, _ = run(capsys, "validate", DOOR)
+    assert code == 0
+    assert out.splitlines()[1:] == ["symmetry: none found"]
+    sickness = tmp_path / "sickness4.hpx"
+    sickness.write_text(render_domain(generate_sickness(4)))
+    code, out, _ = run(capsys, "validate", str(sickness))
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "symmetry: 3 interchangeable blocks such as "
+        "disease_1 color_1 sense_color_1 medicate_1"
+    ]
+
+
 def test_validate_reports_structural_violations(capsys, tmp_path):
     bad = tmp_path / "mixed.hpx"
     bad.write_text("(:fluents a b) (:action x :effect a :observe b) (:goal weak a)")

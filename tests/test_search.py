@@ -12,7 +12,7 @@ import dataclasses
 import hashlib
 import pathlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -45,6 +45,7 @@ from hindsight.model import (
 )
 from hindsight.oracle import soundness_check
 from hindsight.parser import parse_domain
+from hindsight.symmetry import Block, Family, find_families
 from hindsight.search import (
     Leaf,
     PlanFormatError,
@@ -816,6 +817,197 @@ def test_search_depth_and_cost_match_a_brute_force_on_wide_random_domains():
         assert shape == _brute_force_shape(domain, max_steps, max_branches, True), domain
 
 
+# ---------------------------------------------------------------------------
+# the symmetry cut, against a brute force
+
+
+def _symmetric_domain(rng: random.Random) -> PlanningDomain:
+    """A random gadget of 2-3 fluents and 1-3 actions, some with
+    conditional effects and maybe a sensor, copied 2-3 times under fresh
+    names, with parts the copies share: a fluent `s` that gadget effects
+    may cause, a strong or weak goal holding one literal of every copy,
+    a sensor of `s`, and a oneof over the copies' first fluents."""
+    copies = range(1, rng.randint(2, 3) + 1)
+    local = [f"x{i}" for i in range(rng.randint(2, 3))]
+
+    def literal(pool) -> Literal:
+        return Literal(rng.choice(pool), rng.random() < 0.5)
+
+    while True:
+        gadget = []  # (name, (effect, conditions) pairs, executability, sensed)
+        for ai in range(rng.randint(1, 3)):
+            effects = [
+                (literal(["s"] if rng.random() < 0.25 else local),
+                 (literal(local),) if rng.random() < 0.5 else ())
+                for _ in range(rng.randint(1, 2))
+            ]
+            executability = (literal(local),) if rng.random() < 0.2 else ()
+            gadget.append((f"a{ai}", effects, executability, None))
+        if rng.random() < 0.5:
+            gadget.append(("look", (), (), rng.choice(local)))
+        caused = [e for _a, effects, _x, _s in gadget for e, _c in effects if e.fluent != "s"]
+        shared = {part for part in ("goal", "weak", "sensor", "oneof") if rng.random() < 0.5}
+        unknown = set(rng.sample(local, rng.randint(0, len(local))))
+        if "oneof" in shared:
+            unknown.add(local[0])
+        values = {f: rng.random() < 0.5 for f in local if f not in unknown}
+
+        def copy(lit: Literal, c: int) -> Literal:
+            return lit if lit.fluent == "s" else Literal(f"{lit.fluent}_{c}", lit.positive)
+
+        def every_copy(lit: Literal) -> tuple[Literal, ...]:
+            return tuple(copy(lit, c) for c in copies)
+
+        actions = [
+            Action(
+                f"{a}_{c}",
+                effect_props=tuple(
+                    EffectProposition(f"{a}_{c}_{i}", copy(e, c), tuple(copy(x, c) for x in cs))
+                    for i, (e, cs) in enumerate(effects, 1)
+                ),
+                knowledge_props=(KnowledgeProposition(f"{sensed}_{c}"),) if sensed else (),
+                executability=tuple(copy(x, c) for x in executability),
+            )
+            for c in copies
+            for a, effects, executability, sensed in gadget
+        ]
+        if "sensor" in shared:
+            actions.append(Action("look_s", knowledge_props=(KnowledgeProposition("s"),)))
+        init = [copy(Literal(f, v), c) for c in copies for f, v in values.items()]
+        if rng.random() < 0.7:
+            init.append(Literal("s", rng.random() < 0.5))
+        if caused and ("goal" in shared or rng.random() < 0.5):
+            goals = [GoalProposition("strong", every_copy(rng.choice(caused)))]
+        else:
+            goals = [GoalProposition("strong", (literal(["s"]),))]
+        if "weak" in shared and caused:
+            goals.append(GoalProposition("weak", every_copy(rng.choice(caused))))
+        domain = PlanningDomain(
+            fluents=tuple(f"{f}_{c}" for c in copies for f in local) + ("s",),
+            actions=tuple(actions),
+            init=tuple(init),
+            oneofs=(OneofConstraint(every_copy(pos(local[0]))),) if "oneof" in shared else (),
+            goals=tuple(goals),
+        )
+        if validate_domain(domain).ok:
+            return domain
+
+
+def _symmetric_cases():
+    """Derandomized symmetric domains with their budgets: split budgets
+    0-2 where some action senses, 3 steps with a split and 4 without."""
+    rng = random.Random(2407)
+    cases = []
+    for _ in range(60):
+        domain = _symmetric_domain(rng)
+        sensing = any(a.is_sensing for a in domain.actions)
+        max_branches = rng.choice((0, 1, 2)) if sensing else 0
+        cases.append((domain, 3 if max_branches else 4, max_branches))
+    return cases
+
+
+def test_the_symmetry_cut_matches_a_brute_force_and_changes_no_plan(monkeypatch):
+    """find_plan's depth and find_optimal_plan's count equal the brute
+    force's on symmetric domains, both searches return the plans they
+    return with detection finding nothing, and the cut makes fewer
+    timeline steps, so it skipped candidates."""
+    from hindsight import engine
+
+    cases = _symmetric_cases()
+    found = [(find_plan(d, m, b), find_optimal_plan(d, m, b)) for d, m, b in cases]
+    for (first, best), (d, m, b) in zip(found, cases):
+        shape = None if first is None else (plan_depth(first), count_occurrences(best))
+        assert shape == _brute_force_shape(d, m, b), d
+    assert sum(first is not None for first, _best in found) > 20
+    assert sum(first is not None and b > 0 for (first, _), (_d, _m, b) in zip(found, cases)) > 5
+    # a gadget with two identical actions puts two nodes of one colour
+    # class in a copy's component, and detection gives it up
+    assert sum(bool(find_families(d)) for d, _m, _b in cases) > 50
+
+    real_step = Timeline.step
+    steps = []
+
+    def counting(self, names, branch=0):
+        steps.append(names)
+        return real_step(self, names, branch)
+
+    def searched():
+        """Both searches' plans on every case, and their timeline steps;
+        the checked build would also step the candidates the cut skips."""
+        steps.clear()
+        plans = [
+            (find_plan(d, m, b, checks=False), find_optimal_plan(d, m, b, checks=False))
+            for d, m, b in cases
+        ]
+        return plans, len(steps)
+
+    monkeypatch.setattr(Timeline, "step", counting)
+    plans, with_cut = searched()
+    assert plans == found
+    monkeypatch.setattr(engine, "find_families", lambda domain: ())
+    plans, without = searched()
+    assert plans == found
+    assert with_cut < without
+
+
+def test_the_symmetry_cut_changes_no_yield_of_the_solver(monkeypatch):
+    """Every (plan, cost, splits) the solver yields, in order, is what it
+    yields with detection finding nothing: the cut skips only candidates
+    that yield nothing, never the mirror image of one that yielded."""
+    from hindsight import engine
+
+    cases = [(generate_sickness(n), *benchmark_bounds("sickness", n)) for n in (3, 4)]
+    cases += [case for case in _symmetric_cases() if case[2] > 0]
+
+    def yields():
+        found = []
+        for d, max_steps, max_branches in cases:
+            root = initial_state(d, max_steps, max_branches, checks=False).branches[0].timeline
+            solve = search._make_solver(root.compiled, max_steps, False)
+            found.append(list(islice(solve(root, True, None, max_branches), 300)))
+        return found
+
+    with_cut = yields()
+    monkeypatch.setattr(engine, "find_families", lambda domain: ())
+    assert yields() == with_cut
+    assert [len(y) for y in with_cut[:2]] == [4, 36]
+    assert sum(len(y) > 1 for y in with_cut) > 5
+
+
+def test_a_mirror_image_whose_block_acted_before_is_not_skipped():
+    """Two copies of (c, e, poke, look, fin): `poke` may make `e` where
+    `c` holds, `look` observes `e`, and `fin` needs `c` known false.  A
+    look that reads `e` false after a poke postdicts `c` false, so only
+    the poked copy's look leads to `done`.  The copies' names interleave,
+    so after `poke_a` (copy 1) the search tries `look_a` (copy 2) first,
+    which yields nothing, before `look_b` (copy 1).  Both copies' bits
+    are unknown in every row, so only the chain, which names `poke_a`,
+    tells the two apart."""
+    def copy(i: int, poke: str, look: str, fin: str) -> tuple[Action, ...]:
+        return (
+            Action(poke, effect_props=(EffectProposition(f"{poke}_1", pos(f"e{i}"), (pos(f"c{i}"),)),)),
+            Action(look, knowledge_props=(KnowledgeProposition(f"e{i}"),)),
+            Action(
+                fin,
+                effect_props=(EffectProposition(f"{fin}_1", pos("done")),),
+                executability=(neg(f"c{i}"),),
+            ),
+        )
+
+    d = PlanningDomain(
+        fluents=("c1", "e1", "c2", "e2", "done"),
+        actions=copy(1, "poke_a", "look_b", "fin_1") + copy(2, "poke_b", "look_a", "fin_2"),
+        init=(neg("done"),),
+        goals=(GoalProposition("weak", (pos("done"),)),),
+    )
+    assert find_families(d) == (
+        Family((Block(("c1", "e1"), ("poke_a", "look_b", "fin_1")),
+                Block(("c2", "e2"), ("poke_b", "look_a", "fin_2")))),
+    )
+    fin = Step(("fin_1",), None, None, Leaf(), None)
+    assert find_plan(d, 3, 1) == Step(("poke_a",), None, None, Step(("look_b",), "e1", None, Leaf(), fin))
+
+
 def _permute_declarations(domain: PlanningDomain, rng: random.Random) -> PlanningDomain:
     """The domain with its fluents, actions, effects, initial literals,
     oneof groups and members and goals declared in a shuffled order."""
@@ -875,6 +1067,107 @@ def test_permuted_declarations_keep_the_search_shape_and_the_replayed_atoms():
     assert solved > 80
 
 
+def _rename(domain: PlanningDomain, fluent: dict, action: dict) -> PlanningDomain:
+    """The domain with its fluents and actions renamed by the two maps,
+    declared in the same order; effect ids follow their action's name."""
+
+    def lit(x: Literal) -> Literal:
+        return Literal(fluent[x.fluent], x.positive)
+
+    return PlanningDomain(
+        fluents=tuple(fluent[f] for f in domain.fluents),
+        actions=tuple(
+            Action(
+                action[a.name],
+                effect_props=tuple(
+                    EffectProposition(f"{action[a.name]}_{i}", lit(ep.effect), tuple(map(lit, ep.conditions)))
+                    for i, ep in enumerate(a.effect_props, 1)
+                ),
+                knowledge_props=tuple(KnowledgeProposition(fluent[kp.fluent]) for kp in a.knowledge_props),
+                executability=tuple(map(lit, a.executability)),
+            )
+            for a in domain.actions
+        ),
+        init=tuple(map(lit, domain.init)),
+        oneofs=tuple(OneofConstraint(tuple(map(lit, oo.literals))) for oo in domain.oneofs),
+        goals=tuple(GoalProposition(g.kind, tuple(map(lit, g.literals))) for g in domain.goals),
+        static_fluents=frozenset(fluent[f] for f in domain.static_fluents),
+    )
+
+
+def _rename_plan(plan, fluent: dict, action: dict):
+    if isinstance(plan, Leaf):
+        return plan
+    return Step(
+        tuple(action[name] for name in plan.actions),
+        None if plan.sensed is None else fluent[plan.sensed],
+        plan.outcome,
+        _rename_plan(plan.on_true, fluent, action),
+        None if plan.on_false is None else _rename_plan(plan.on_false, fluent, action),
+    )
+
+
+def _rename_families(families, fluent: dict, action: dict):
+    return tuple(
+        Family(tuple(Block(tuple(fluent[f] for f in b.fluents), tuple(action[a] for a in b.actions)) for b in fam.blocks))
+        for fam in families
+    )
+
+
+def _renaming_cases():
+    from test_acceptance import _random_domain
+
+    cases = [(_random_domain(random.Random(774000 + i)), (4, 2)) for i in range(200)]
+    for generate, kind, sizes in (
+        (generate_bomb, "bomb", (4, 5, 6)),
+        (generate_rings, "rings", (2, 3)),
+        (generate_sickness, "sickness", (3, 4, 5, 6)),
+    ):
+        for n in sizes:
+            cases.append((generate(n), benchmark_bounds(kind, n)))
+    cases += [(d, (m, b)) for d, m, b in _symmetric_cases()]
+    return cases
+
+
+def test_a_renaming_keeps_the_search_shape_and_the_families():
+    """A bijective renaming of fluents and actions, in a random name
+    order, keeps plan existence, find_plan's depth, find_optimal_plan's
+    count and the interchangeable blocks, renamed: detection reads
+    structure, never names."""
+    rng = random.Random(1405)
+    solved = mirrored = 0
+    for domain, bounds in _renaming_cases():
+        fluents = [f"v{i}" for i in range(len(domain.fluents))]
+        actions = [f"act{i}" for i in range(len(domain.actions))]
+        rng.shuffle(fluents)
+        rng.shuffle(actions)
+        fluent = dict(zip(domain.fluents, fluents))
+        action = dict(zip((a.name for a in domain.actions), actions))
+        renamed = _rename(domain, fluent, action)
+        families = find_families(domain)
+        assert find_families(renamed) == _rename_families(families, fluent, action)
+        shape = _search_shape(domain, bounds)
+        assert _search_shape(renamed, bounds) == shape
+        solved += shape is not None
+        mirrored += bool(families)
+    assert solved > 100
+    assert mirrored > 50
+
+
+def test_a_renaming_that_keeps_name_order_renames_the_plan():
+    solved = 0
+    for domain, bounds in _renaming_cases():
+        fluent = {f: f"is_{f}" for f in domain.fluents}
+        action = {a.name: f"do_{a.name}" for a in domain.actions}
+        renamed = _rename(domain, fluent, action)
+        for search_for in (find_plan, find_optimal_plan):
+            plan = search_for(domain, *bounds, checks=False)
+            again = search_for(renamed, *bounds, checks=False)
+            assert again == (None if plan is None else _rename_plan(plan, fluent, action))
+            solved += plan is not None
+    assert solved > 200
+
+
 # ---------------------------------------------------------------------------
 # search work
 
@@ -895,11 +1188,11 @@ FIND_PLAN_STEPS = {
     "bomb(6)": 22,
     "rings(2)": 37,
     "rings(3)": 352,
-    "sickness(3)": 37,
-    "sickness(4)": 146,
-    "sickness(5)": 767,
+    "sickness(3)": 29,
+    "sickness(4)": 63,
+    "sickness(5)": 128,
     "split_budget_domain": 165,
-    "criterion 2": 5915,
+    "criterion 2": 5908,
 }
 FIND_PLAN_FRONTIER_ROWS = {
     "bomb(4)": 1,
@@ -907,9 +1200,9 @@ FIND_PLAN_FRONTIER_ROWS = {
     "bomb(6)": 1,
     "rings(2)": 1,
     "rings(3)": 1,
-    "sickness(3)": 5,
-    "sickness(4)": 16,
-    "sickness(5)": 65,
+    "sickness(3)": 4,
+    "sickness(4)": 7,
+    "sickness(5)": 11,
     "split_budget_domain": 114,
     "criterion 2": 530,
 }
