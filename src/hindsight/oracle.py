@@ -1,21 +1,36 @@
 """Brute-force possible-worlds semantics, used as ground truth.
 
-A world is an int whose bit k is true when fluent k of the domain (in
-`domain.fluents` order) holds.  This encoding is the oracle's own: it
-shares neither code nor bit layout with the engine's two-bits-per-literal
-rows.  A belief state (sigma) is a set of worlds.  Physical actions map
-each world pointwise through add/delete effects whose conditions are
-evaluated on that world's pre-state; sensing filters sigma down to the
-worlds that agree with the observed value.
+The initial worlds are numbered 0..W-1, and a world's state is kept
+bit-sliced (Biham, FSE 1997): a *column* is an int whose bit i is one
+fluent's value in initial world i, and a time point's state is one
+column per fluent, in `domain.fluents` order.  A belief state is a set
+of worlds; here it is a *survivor mask*, an int over the same world
+numbers.  This encoding is the oracle's own: it shares neither code nor
+bit layout with the engine's two-bits-per-literal rows.
+
+Physical actions map every world at once.  An effect rule's condition
+is the AND of the columns it needs true and the complements of those it
+needs false, all read on the pre-state, so simultaneous actions never
+chain within a step; the rules' adds are unioned, and deletes applied
+last: post[k] = (pre[k] | adds_k) & ~dels_k (_advance).  A step costs
+O(rules) int operations however many worlds there are.  Worlds evolve
+the same way whatever is observed, so the columns depend only on the
+actions taken; an observation only ANDs the survivor mask with the
+observed fluent's pre-state column, or its complement (_observe).  A
+step that observes one fluent both ways so keeps no world.
 
 A domain is compiled once, and kept until a query names another
-domain.  Every effect proposition becomes a (positive-condition mask,
-negative-condition mask, effect bit, sign) row.  The initial worlds
+domain.  Every effect proposition becomes a (fluents needed true,
+fluents needed false, effect fluent, sign) rule.  The initial worlds
 are enumerated directly instead of filtered out of all 2^n
 assignments: the init literals fix their fluents, each oneof group
 picks exactly one member (making its other literals false), and the
 fluents neither mentions are free, so the worlds are the consistent
-oneof choices times every assignment of the free fluents.  The
+oneof choices times every assignment of the free fluents, in that
+order (`initial`).  The time-zero columns are built from that structure,
+not world by world (`start`): a fixed fluent's column is one block of
+ones or zeros per choice, and a free fluent's a periodic pattern,
+because the free assignments count upwards within each choice.  The
 capacity cap counts those initial worlds (MAX_ORACLE_WORLDS), not
 fluents: sickness(n) has 2n fluents but only n worlds.  A second cap
 bounds the work of finding them, since oneof choices can contradict a
@@ -23,45 +38,55 @@ later group exponentially often (_consistent_choices).
 
 Queries use hindsight semantics: "was l true at time t" is answered
 from the initial worlds that survive *all* observations along the whole
-trace, evolved forward t steps.  A trace is followed one step at a
-time over the histories (world at times 0..t) of the survivors so far
-(_extend): keep the histories whose last world shows the step's
-observation, then append that world's successor.  soundness_check
-folds the survivors of a branch's trace at every time point into an
-all-true mask (AND) and an any-true mask (OR), so each claimed literal
-is one bit test.
+trace, evolved forward t steps: the final survivor mask applied to the
+time-t columns.
+
+soundness_check checks a claim as one mask operation.  For each time
+point of a branch it keeps an *allowed* row in the engine's
+literal-bit numbering: the positive literal's bit when the fluent is
+true in every survivor, the negative one's when it is false in every
+survivor.  The engine claims the literals of its layer row `known`, so
+the wrong claims are `known & ~allowed`; literals and the violation
+text are built only when there is one.  The numbering is read once per
+compiled domain from `CompiledDomain.bit`, the table that names the
+engine's bits.  That is the whole of what the check takes from the
+engine besides its claims: the allowed rows come from the columns
+alone, through no engine inference, so an engine that derives a wrong
+literal cannot make the oracle agree with it.
 
 soundness_check does not replay a branch from time zero.  The compiled
 domain keeps a survivor table from each engine `Timeline` it checked to
-the histories that survive that timeline's chain (`prev` links back to
-time zero).  A branch walks `prev` back to the nearest timeline in the
-table, or to time zero, and extends forward from there one link at a
-time, each link's step compiled once per (names, observation).  A state
+the columns of that timeline's chain (`prev` links back to time zero),
+its survivor mask and its allowed rows.  A branch walks `prev` back to
+the nearest timeline in the table, or to time zero, and extends forward
+from there one link at a time, each link's step compiled once per
+(names, observation).  When the links observe nothing that narrows the
+survivor mask, the allowed rows already known stand, and one row per
+new time point is added; otherwise every row is recomputed.  A state
 checked right after its parent thus costs one step per branch.  This
 rests on timelines never changing: a timeline's chain, and so its
-survivors, is fixed when it is made.  Entries hold their timeline, so
-its id cannot be reused while the entry lives, and a hit also compares
-identity.  The table is dropped with the compiled domain when a query
-names another domain, and emptied whenever it reaches
+columns and survivors, is fixed when it is made.  Entries hold their
+timeline, so its id cannot be reused while the entry lives, and a hit
+also compares identity.  The table is dropped with the compiled domain
+when a query names another domain, and emptied whenever it reaches
 MAX_SURVIVOR_ENTRIES, after which branches replay from time zero again.
 
 The public functions keep worlds as frozensets of fluent names; they
-encode their arguments, run the int core and decode the result.  All
-of it is deliberately exponential and simple — it exists to
-cross-check the polynomial engine, so it shares no inference code with
-it.
+encode their arguments, run the column core and decode the result.  All
+of it is deliberately exhaustive and simple — it exists to cross-check
+the polynomial engine, so it shares no inference code with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from hindsight.model import Fluent, Literal, PlanningDomain, complement
 
 if TYPE_CHECKING:  # pragma: no cover
-    from hindsight.engine import EpistemicState, Timeline
+    from hindsight.engine import CompiledDomain, EpistemicState, Timeline
 
 # 2**16 initial worlds is the most the exhaustive enumeration will attempt.
 MAX_ORACLE_FLUENTS = 16
@@ -90,57 +115,112 @@ class TraceStep:
     observations: tuple[tuple[Fluent, bool], ...] = ()
 
 
-# A compiled trace step: (observed fluents, their observed values, effect
-# rows).  A step that observes one fluent both ways gets values -1, which
-# no world matches.
-_Step = tuple[int, int, tuple[tuple[int, int, int, bool], ...]]
-# A world's states at times 0..t.
-_History = tuple[int, ...]
+# An effect rule: (fluents needed true, fluents needed false, effect
+# fluent, sign), fluents as indices into `domain.fluents`.
+_Rule = tuple[tuple[int, ...], tuple[int, ...], int, bool]
+# A compiled trace step: ((fluent, observed value) pairs, effect rules).
+_Step = tuple[tuple[tuple[int, bool], ...], tuple[_Rule, ...]]
+# One time point: entry k is fluent k's column.
+_Columns = tuple[int, ...]
 
 
-def _result(world: int, rules: tuple) -> int:
-    """Pointwise transition: conditions on the pre-state, effects folded.
+class _Survivors(NamedTuple):
+    """A chain's columns at times 0..t, the mask of the initial worlds
+    that survive its observations, and its allowed row per time point."""
+
+    columns: tuple[_Columns, ...]
+    mask: int
+    allowed: tuple[int, ...]
+
+
+def _advance(columns: _Columns, rules: tuple[_Rule, ...], everyone: int) -> _Columns:
+    """Every world's successor: conditions on the pre-state, effects folded.
 
     Simultaneous actions all read the same pre-state; their add and
-    delete sets are unioned, deletes applied last.
+    delete sets are unioned, deletes applied last.  `everyone` is the
+    mask of all the worlds.
     """
-    adds = dels = 0
-    for need, forbid, bit, positive in rules:
-        if world & need == need and not world & forbid:
-            if positive:
-                adds |= bit
-            else:
-                dels |= bit
-    return (world | adds) & ~dels
+    if not rules:
+        return columns
+    post = list(columns)
+    dels = []
+    for need, forbid, k, positive in rules:
+        fires = everyone
+        for j in need:
+            fires &= columns[j]
+        for j in forbid:
+            fires &= ~columns[j]
+        if positive:
+            post[k] |= fires
+        elif fires:
+            dels.append((k, fires))
+    for k, fires in dels:
+        post[k] &= ~fires
+    return tuple(post)
 
 
-def _extend(histories: Iterable[_History], step: _Step) -> list[_History]:
-    """One step over histories: keep those whose last world shows the
-    step's observation, then append that world's successor."""
-    seen, value, rules = step
-    return [h + (_result(h[-1], rules),) for h in histories if h[-1] & seen == value]
+def _observe(columns: _Columns, observations: Iterable[tuple[int, bool]], mask: int) -> int:
+    """The worlds of `mask` that show every observed value in `columns`."""
+    for k, value in observations:
+        mask &= columns[k] if value else ~columns[k]
+    return mask
+
+
+def _allowed(columns: _Columns, mask: int, bits: Sequence[tuple[int, int]]) -> int:
+    """The literal bits (`bits[k]`: fluent k's true and false bit) that
+    hold in every world of the non-empty `mask`."""
+    row = 0
+    for column, (true_bit, false_bit) in zip(columns, bits):
+        column &= mask
+        if column == mask:
+            row |= true_bit
+        elif not column:
+            row |= false_bit
+    return row
+
+
+def _transpose(columns: _Columns, mask: int) -> list[int]:
+    """The state, as an int over fluent indices, of each world of `mask`,
+    in world order."""
+    width = mask.bit_length()
+    # bit strings read lowest bit first, so index i is world i
+    rows = [format(column, f"0{width}b")[::-1] for column in columns]
+    members = [i for i, bit in enumerate(format(mask, "b")[::-1]) if bit == "1"]
+    return [sum(1 << k for k, row in enumerate(rows) if row[i] == "1") for i in members]
+
+
+def _columns(states: Sequence[int], n: int) -> _Columns:
+    """The columns of a few world states over n fluents, world i being
+    `states[i]`."""
+    return tuple(sum(1 << i for i, state in enumerate(states) if state >> k & 1) for k in range(n))
 
 
 class _Worlds:
-    """A domain compiled to int worlds."""
+    """A domain compiled to world columns."""
 
     def __init__(self, domain: PlanningDomain):
         self.domain = domain
         self.fluents = domain.fluents
         self.index = {f: k for k, f in enumerate(domain.fluents)}
-        self.full = (1 << len(domain.fluents)) - 1
         self.rules = {
-            a.name: tuple(
-                self._masks(ep.conditions)
-                + (1 << self.index[ep.effect.fluent], ep.effect.positive)
-                for ep in a.effect_props
-            )
+            a.name: tuple(self._rule(ep.conditions, ep.effect) for ep in a.effect_props)
             for a in domain.actions
         }
         # (names, observation) of a timeline link -> its compiled step
         self.link_steps: dict[tuple, _Step] = {}
-        # id(timeline) -> (timeline, histories surviving its chain)
-        self.survivors: dict[int, tuple[Timeline, list[_History]]] = {}
+        # id(timeline) -> (timeline, what survives its chain)
+        self.survivors: dict[int, tuple[Timeline, _Survivors]] = {}
+        # the compiled domain whose literal numbering the allowed rows
+        # use, and that numbering: per fluent, its true and false bit
+        self.numbered: CompiledDomain | None = None
+        self.bits: tuple[tuple[int, int], ...] = ()
+
+    def _rule(self, conditions: Iterable[Literal], effect: Literal) -> _Rule:
+        need: list[int] = []
+        forbid: list[int] = []
+        for c in conditions:
+            (need if c.positive else forbid).append(self.index[c.fluent])
+        return tuple(need), tuple(forbid), self.index[effect.fluent], effect.positive
 
     def _masks(self, literals: Iterable[Literal]) -> tuple[int, int]:
         """(mask of the positive literals' fluents, mask of the negative ones)."""
@@ -161,15 +241,16 @@ class _Worlds:
         return need | forbid, need
 
     @cached_property
-    def initial(self) -> tuple[int, ...]:
-        """Every world consistent with the init literals and oneof groups.
+    def choices(self) -> tuple[tuple[int, ...], int]:
+        """(the value of each consistent init/oneof choice, in the order
+        they are found; the mask of the free fluents).
 
-        Raises OracleCapacityError before enumerating more than
+        Raises OracleCapacityError before allowing more than
         MAX_ORACLE_WORLDS worlds.
         """
         base = self._assignment(self.domain.init)
         if base is None:
-            return ()
+            return (), 0
         groups = []
         fixed = base[0]
         for oo in self.domain.oneofs:
@@ -182,8 +263,8 @@ class _Worlds:
             groups.append(choices)
             need, forbid = self._masks(oo.literals)
             fixed |= need | forbid
-        free = self.full & ~fixed
-        per_choice = 1 << bin(free).count("1")
+        free = (1 << len(self.fluents)) - 1 & ~fixed
+        per_choice = 1 << free.bit_count()
         values: list[int] = []
         for _fixed, value in _consistent_choices(base, groups):
             if (len(values) + 1) * per_choice > MAX_ORACLE_WORLDS:
@@ -192,7 +273,50 @@ class _Worlds:
                     f"2**{MAX_ORACLE_FLUENTS}-world cap for exhaustive enumeration"
                 )
             values.append(value)
+        return tuple(values), free
+
+    @cached_property
+    def initial(self) -> tuple[int, ...]:
+        """Every world consistent with the init literals and oneof groups,
+        as an int over fluent indices: each choice, with every
+        assignment of the free fluents in increasing order."""
+        values, free = self.choices
         return tuple(value | sub for value in values for sub in _submasks(free))
+
+    @cached_property
+    def everyone(self) -> int:
+        """The mask of all the initial worlds."""
+        values, free = self.choices
+        return (1 << (len(values) << free.bit_count())) - 1
+
+    @cached_property
+    def start(self) -> _Columns:
+        """The time-zero columns: bit i of entry k is fluent k in world i
+        of `initial`, built per fluent rather than per world."""
+        values, free = self.choices
+        everyone = self.everyone
+        per_choice = 1 << free.bit_count()
+        width = len(values) * per_choice
+        blocks = {ord("1"): "1" * per_choice, ord("0"): "0" * per_choice}
+        columns = []
+        half = 1  # half the period of the next free fluent's column
+        for k in range(len(self.fluents)):
+            bit = 1 << k
+            if free & bit:
+                # the free assignments count upwards, lowest fluent
+                # first: false for `half` worlds, then true for `half`
+                column, span = ((1 << half) - 1) << half, 2 * half
+                while span < width:
+                    column |= column << span
+                    span *= 2
+                columns.append(column & everyone)
+                half *= 2
+            else:
+                # one block of per_choice bits per choice, written
+                # highest world first
+                chosen = "".join(["1" if value & bit else "0" for value in reversed(values)])
+                columns.append(int(chosen.translate(blocks) or "0", 2))
+        return tuple(columns)
 
     def encode(self, world: Iterable[Fluent]) -> int:
         return sum(1 << self.index[f] for f in world)
@@ -200,26 +324,37 @@ class _Worlds:
     def decode(self, world: int) -> WorldState:
         return frozenset(f for k, f in enumerate(self.fluents) if world >> k & 1)
 
-    def step_rules(self, actions: Iterable[str]) -> tuple:
+    def step_rules(self, actions: Iterable[str]) -> tuple[_Rule, ...]:
         return tuple(r for name in actions for r in self.rules[name])
 
     def compile_step(self, step: TraceStep) -> _Step:
-        seen = value = 0
-        for fluent, observed in step.observations:
-            bit = 1 << self.index[fluent]
-            if seen & bit and bool(value & bit) != observed:
-                return seen, -1, ()
-            seen |= bit
-            if observed:
-                value |= bit
-        return seen, value, self.step_rules(step.actions)
+        observations = tuple((self.index[f], bool(value)) for f, value in step.observations)
+        return observations, self.step_rules(step.actions)
 
-    def histories(self, steps: Iterable[TraceStep]) -> list[_History]:
-        """The history of every initial world that survives the trace."""
-        out = [(w0,) for w0 in self.initial]
+    def replay(self, steps: Iterable[TraceStep]) -> tuple[list[_Columns], int]:
+        """The columns at times 0..len(steps), and the mask of the
+        initial worlds that survive the whole trace."""
+        columns = [self.start]
+        mask = self.everyone
         for step in steps:
-            out = _extend(out, self.compile_step(step))
-        return out
+            observations, rules = self.compile_step(step)
+            mask = _observe(columns[-1], observations, mask)
+            columns.append(_advance(columns[-1], rules, self.everyone))
+        return columns, mask
+
+    def numbering(self, compiled: CompiledDomain) -> tuple[tuple[int, int], ...]:
+        """Per fluent, the bits of its true and its false literal in
+        `compiled`'s numbering.  The table's allowed rows are in the
+        numbering last read; one that differs empties the table."""
+        if compiled is not self.numbered:
+            pairs = [[0, 0] for _ in self.fluents]
+            for lit in compiled.lits:
+                pairs[self.index[lit.fluent]][not lit.positive] = 1 << compiled.bit(lit)
+            bits = tuple(map(tuple, pairs))
+            if bits != self.bits:
+                self.survivors.clear()
+            self.numbered, self.bits = compiled, bits
+        return self.bits
 
     def link_step(self, link: Timeline) -> _Step:
         """The compiled step from `link.prev` to `link`."""
@@ -232,30 +367,41 @@ class _Worlds:
             step = self.link_steps[key] = self.compile_step(TraceStep(link.names, seen))
         return step
 
-    def surviving(self, timeline: Timeline) -> list[_History]:
-        """The histories that survive `timeline`'s chain: extended from
-        the nearest timeline on the chain already in the table, or from
-        time zero."""
+    def surviving(self, timeline: Timeline) -> _Survivors:
+        """What survives `timeline`'s chain, with allowed rows in the
+        numbering last read: extended from the nearest timeline on the
+        chain already in the table, or from time zero."""
+        table = self.survivors
         pending = []
         link = timeline
         while True:
-            entry = self.survivors.get(id(link))
+            entry = table.get(id(link))
             if entry is not None and entry[0] is link:
                 if not pending:
                     return entry[1]
-                histories = entry[1]
+                columns, mask, allowed = entry[1]
                 break
             if link.prev is None:
-                histories = self.histories(())  # time zero applies no step
+                columns, mask, allowed = (self.start,), self.everyone, ()
                 break
             pending.append(link)
             link = link.prev
+        before = mask
         for link in reversed(pending):
-            histories = _extend(histories, self.link_step(link))
-        if len(self.survivors) >= MAX_SURVIVOR_ENTRIES:
-            self.survivors.clear()
-        self.survivors[id(timeline)] = (timeline, histories)
-        return histories
+            observations, rules = self.link_step(link)
+            mask = _observe(columns[-1], observations, mask)
+            columns += (_advance(columns[-1], rules, self.everyone),)
+        if mask == before:
+            # the rows known still stand; add one per new time point
+            for c in columns[len(allowed):]:
+                allowed += (_allowed(c, mask, self.bits),)
+        else:
+            allowed = tuple(_allowed(c, mask, self.bits) for c in columns)
+        survivors = _Survivors(columns, mask, allowed)
+        if len(table) >= MAX_SURVIVOR_ENTRIES:
+            table.clear()
+        table[id(timeline)] = (timeline, survivors)
+        return survivors
 
 
 _last: _Worlds | None = None
@@ -276,7 +422,8 @@ def _compiled(domain: PlanningDomain) -> _Worlds:
 
 
 def _submasks(mask: int) -> Iterator[int]:
-    """Every int whose set bits are a subset of `mask`'s, 0 first."""
+    """Every int whose set bits are a subset of `mask`'s, in increasing
+    order, 0 first."""
     sub = 0
     while True:
         yield sub
@@ -328,15 +475,19 @@ def result_state(domain: PlanningDomain, world: WorldState, actions: Iterable[st
     Simultaneous actions all read the same pre-state; their add and
     delete sets are unioned, deletes applied last.
     """
-    worlds = _compiled(domain)
-    return worlds.decode(_result(worlds.encode(world), worlds.step_rules(actions)))
+    (post,) = apply_step(domain, (world,), TraceStep(tuple(actions)))
+    return post
 
 
 def apply_step(domain: PlanningDomain, sigma: Iterable, step: TraceStep) -> frozenset:
     """One trace step over a belief state: observation filter, then effects."""
     worlds = _compiled(domain)
-    histories = _extend([(worlds.encode(world),) for world in sigma], worlds.compile_step(step))
-    return frozenset(worlds.decode(history[-1]) for history in histories)
+    states = [worlds.encode(world) for world in sigma]
+    columns = _columns(states, len(worlds.fluents))
+    everyone = (1 << len(states)) - 1
+    observations, rules = worlds.compile_step(step)
+    mask = _observe(columns, observations, everyone)
+    return frozenset(map(worlds.decode, _transpose(_advance(columns, rules, everyone), mask)))
 
 
 def entails(sigma: frozenset, literal: Literal) -> bool:
@@ -358,11 +509,8 @@ def tqs_timeline(domain: PlanningDomain, steps: tuple) -> tuple:
     when the observations contradict each other.
     """
     worlds = _compiled(domain)
-    histories = worlds.histories(steps)
-    return tuple(
-        frozenset(worlds.decode(history[t]) for history in histories)
-        for t in range(len(steps) + 1)
-    )
+    columns, mask = worlds.replay(steps)
+    return tuple(frozenset(map(worlds.decode, _transpose(c, mask))) for c in columns)
 
 
 def tqs_entails(domain: PlanningDomain, steps: tuple, literal: Literal, t: int) -> bool:
@@ -412,35 +560,45 @@ def soundness_check(state: EpistemicState) -> SoundnessReport:
     Branches whose observation sequence no world can realize are
     vacuously sound and reported separately.  Each branch's survivors
     extend those of the nearest timeline on its chain that was checked
-    before (see the module docstring).
+    before, and its claims are checked against their allowed rows (see
+    the module docstring).
     """
     if state.inconsistent:
         raise ValueError("cannot soundness-check an inconsistent state")
     worlds = _compiled(state.domain)
-    index = worlds.index
+    worlds.numbering(state.compiled)
     checked = 0
     violations: list[str] = []
     vacuous: list[int] = []
     for br in sorted(state.branches):
-        histories = worlds.surviving(state.branches[br].timeline)
-        if not histories:
+        timeline = state.branches[br].timeline
+        survivors = worlds.surviving(timeline)
+        if not survivors.mask:
             vacuous.append(br)
             continue
-        for t in range(state.horizon + 1):
-            every, some = worlds.full, 0
-            for history in histories:
-                every &= history[t]
-                some |= history[t]
-            claims = state.known_literals(br, t)
-            checked += len(claims)
-            wrong = [
-                lit for lit in claims
-                if not (every if lit.positive else ~some) >> index[lit.fluent] & 1
-            ]
-            for lit in sorted(wrong):
-                at_t = {history[t] for history in histories}
-                violations.append(
-                    f"branch {br}: claims {lit} at time {t}, "
-                    f"but worlds {sorted(sorted(worlds.decode(w)) for w in at_t)} disagree"
-                )
+        known = timeline.layer
+        checked += sum(map(int.bit_count, known))
+        if any(map(int.__and__, known, map(int.__invert__, survivors.allowed))):
+            violations += _violations(worlds, state, br, survivors)
     return SoundnessReport(checked, tuple(violations), tuple(vacuous))
+
+
+def _violations(
+    worlds: _Worlds, state: EpistemicState, br: int, survivors: _Survivors
+) -> list[str]:
+    """One message per literal that branch `br` claims at some time and
+    a surviving world contradicts, by time, then in literal order."""
+    out = []
+    for t, allowed in enumerate(survivors.allowed):
+        wrong = [
+            lit for lit in state.known_literals(br, t)
+            if not allowed >> state.compiled.bit(lit) & 1
+        ]
+        if wrong:
+            at_t = set(_transpose(survivors.columns[t], survivors.mask))
+            shown = sorted(sorted(worlds.decode(w)) for w in at_t)
+            out += (
+                f"branch {br}: claims {lit} at time {t}, but worlds {shown} disagree"
+                for lit in sorted(wrong)
+            )
+    return out

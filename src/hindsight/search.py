@@ -125,6 +125,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterator, Union
 
@@ -564,6 +565,30 @@ MAX_STEPS = 256
 MAX_DEAD_ENDS = 1 << 16
 
 
+@lru_cache(maxsize=1)
+def _solver_setup(
+    compiled: CompiledDomain, concurrent: bool
+) -> tuple[tuple, int, int, frozenset, int, int]:
+    """What _make_solver reads of the domain and mode alone: the weak
+    goal literals, the strong goal mask, the mask of both goals, the
+    sensors' names, and the most goal literals one occurrence
+    (`per_occ`) and one step (`per_step`) can cause.  Only the last
+    domain and mode are kept, so the restarts of one _search share one
+    computation."""
+    weak = compiled.domain.goal_literals("weak")
+    strong = compiled.mask(compiled.domain.goal_literals("strong"))
+    both = strong | compiled.mask(weak)
+    sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
+    per_occ = max(((a.effects & both).bit_count() for a in compiled.menu), default=0)
+    per_step = per_occ
+    if concurrent:
+        union = 0
+        for a in compiled.menu:
+            union |= a.effects
+        per_step = (union & both).bit_count()
+    return weak, strong, both, sensors, per_occ, per_step
+
+
 def _make_solver(
     compiled: CompiledDomain,
     horizon: int,
@@ -590,19 +615,8 @@ def _make_solver(
     candidate so left out would have had both sides of its split closed
     and then been refused.  None of them ever yielded a plan.
     """
-    weak = compiled.domain.goal_literals("weak")
-    strong = compiled.mask(compiled.domain.goal_literals("strong"))
-    both = strong | compiled.mask(weak)
+    weak, strong, both, sensors, per_occ, per_step = _solver_setup(compiled, concurrent)
     actions = compiled.actions
-    sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
-    # the most goal literals one occurrence, and one step, can cause
-    per_occ = max(((a.effects & both).bit_count() for a in compiled.menu), default=0)
-    per_step = per_occ
-    if concurrent:
-        union = 0
-        for a in compiled.menu:
-            union |= a.effects
-        per_step = (union & both).bit_count()
     if dead_ends is None:
         dead_ends = {}
 

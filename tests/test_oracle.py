@@ -7,6 +7,7 @@ they are independent of any engine code.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from hindsight.model import (
     Action,
     EffectProposition,
     KnowledgeProposition,
+    Literal,
     OneofConstraint,
     PlanningDomain,
     neg,
@@ -371,15 +373,48 @@ def test_soundness_check_reports_a_false_claim_and_a_vacuous_branch():
 # -- the survivor table against a from-scratch replay ------------------------
 
 
+def _reference_histories(domain: PlanningDomain, steps) -> list[tuple[int, ...]]:
+    """The history (its state at times 0..t) of every initial world that
+    survives the trace, replayed one world at a time and in the order of
+    the enumerated initial worlds.  A state is an int whose bit k is
+    fluent k; nothing here uses the oracle's columns."""
+    index = {f: k for k, f in enumerate(domain.fluents)}
+    actions = {a.name: a for a in domain.actions}
+
+    def holds(state: int, fluent: str) -> bool:
+        return bool(state >> index[fluent] & 1)
+
+    def result(state: int, names) -> int:
+        adds = dels = 0
+        for name in names:
+            for ep in actions[name].effect_props:
+                if all(holds(state, c.fluent) == c.positive for c in ep.conditions):
+                    if ep.effect.positive:
+                        adds |= 1 << index[ep.effect.fluent]
+                    else:
+                        dels |= 1 << index[ep.effect.fluent]
+        return (state | adds) & ~dels
+
+    histories = [(w0,) for w0 in oracle._compiled(domain).initial]
+    for step in steps:
+        histories = [
+            h + (result(h[-1], step.actions),)
+            for h in histories
+            if all(holds(h[-1], f) == value for f, value in step.observations)
+        ]
+    return histories
+
+
 def _reference_report(state) -> SoundnessReport:
     """soundness_check as it was before the survivor table: every branch
-    replays every initial world from time zero."""
-    worlds = oracle._compiled(state.domain)
+    replays every initial world from time zero, and every claimed
+    literal is tested world by world."""
+    fluents = state.domain.fluents
     checked = 0
     violations: list[str] = []
     vacuous: list[int] = []
     for br in sorted(state.branches):
-        histories = worlds.histories(branch_trace(state, br))
+        histories = _reference_histories(state.domain, branch_trace(state, br))
         if not histories:
             vacuous.append(br)
             continue
@@ -387,13 +422,23 @@ def _reference_report(state) -> SoundnessReport:
             at_t = {history[t] for history in histories}
             for lit in sorted(state.known_literals(br, t)):
                 checked += 1
-                bit = 1 << worlds.index[lit.fluent]
+                bit = 1 << fluents.index(lit.fluent)
                 if any(bool(w & bit) != lit.positive for w in at_t):
+                    shown = sorted(sorted(f for k, f in enumerate(fluents) if w >> k & 1) for w in at_t)
                     violations.append(
-                        f"branch {br}: claims {lit} at time {t}, "
-                        f"but worlds {sorted(sorted(worlds.decode(w)) for w in at_t)} disagree"
+                        f"branch {br}: claims {lit} at time {t}, but worlds {shown} disagree"
                     )
     return SoundnessReport(checked, tuple(violations), tuple(vacuous))
+
+
+def _reference_timeline(domain: PlanningDomain, steps) -> tuple:
+    """tqs_timeline from the per-world replay."""
+    fluents = domain.fluents
+    histories = _reference_histories(domain, steps)
+    return tuple(
+        frozenset(frozenset(f for k, f in enumerate(fluents) if h[t] >> k & 1) for h in histories)
+        for t in range(len(steps) + 1)
+    )
 
 
 def _assert_matches_reference(state) -> None:
@@ -507,3 +552,168 @@ def test_survivor_table_keeps_to_its_bound_and_is_dropped_with_its_domain(monkey
     assert [timeline for timeline, _ in oracle._last.survivors.values()] == [
         a[-1].branches[br].timeline for br in sorted(a[-1].branches)
     ]
+
+
+# -- the column core at larger sizes ------------------------------------------
+
+
+def _start_domains() -> list[PlanningDomain]:
+    domains = [_random_domain(random.Random(774000 + i)) for i in range(1000)]
+    domains += [generate_rings(n) for n in (2, 3, 4, 5, 6)]
+    domains += [generate_bomb(n) for n in (1, 2, 5, 12)]
+    domains += [generate_sickness(n) for n in (2, 4, 6, 9)]
+    domains += _tangled_oneof_domains()
+    domains += [_oneof_domain(random.Random(9100 + i)) for i in range(40)]
+    return domains
+
+
+def test_time_zero_columns_decode_to_the_initial_worlds_in_order():
+    for domain in _start_domains():
+        worlds = oracle._compiled(domain)
+        initial = worlds.initial
+        start = worlds.start
+        assert len(start) == len(domain.fluents)
+        # no column holds a bit past the last world
+        assert all(0 <= column < 1 << len(initial) for column in start), domain
+        decoded = [
+            sum(1 << k for k, column in enumerate(start) if column >> i & 1)
+            for i in range(len(initial))
+        ]
+        assert decoded == list(initial), domain
+        assert frozenset(map(worlds.decode, decoded)) == initial_sigma(domain)
+
+
+def test_the_column_core_matches_the_per_world_replay_on_rings_6():
+    domain = generate_rings(6)
+    bounds = benchmark_bounds("rings", 6)
+    # the assertion-checked search takes minutes here, and is not under test
+    plan = find_plan(domain, *bounds, checks=False)
+    state = verify_plan(domain, plan, *bounds, checks=False).state
+    assert len(initial_sigma(domain)) == 4096
+    reference = _reference_report(state)
+    assert reference.ok and reference.checked == 432
+    assert soundness_check(state) == reference
+    trace = branch_trace(state, 0)
+    assert len(trace) == state.horizon == 17
+    assert tqs_timeline(domain, trace) == _reference_timeline(domain, trace)
+
+
+def _oneof_domain(rng: random.Random) -> PlanningDomain:
+    """6–10 fluents; 2–3 oneof groups of 2–3 members, some negative, that
+    may share fluents and contradict each other; init literals on half
+    the fluents no group names; physical actions with 1–3 effects of up
+    to two conditions each; and two sensors."""
+    fluents = tuple(f"f{i}" for i in range(rng.randint(6, 10)))
+    groups = tuple(
+        OneofConstraint(
+            tuple(Literal(f, rng.random() < 0.8) for f in rng.sample(fluents, rng.randint(2, 3)))
+        )
+        for _ in range(rng.randint(2, 3))
+    )
+    named = {lit.fluent for group in groups for lit in group.literals}
+    rest = [f for f in fluents if f not in named]
+    init = tuple(Literal(f, rng.random() < 0.5) for f in rng.sample(rest, len(rest) // 2))
+    actions = [
+        Action(
+            f"a{i}",
+            effect_props=tuple(
+                EffectProposition(
+                    f"a{i}_{j}",
+                    Literal(rng.choice(fluents), rng.random() < 0.5),
+                    tuple(Literal(f, rng.random() < 0.5) for f in rng.sample(fluents, rng.randint(0, 2))),
+                )
+                for j in range(rng.randint(1, 3))
+            ),
+        )
+        for i in range(rng.randint(3, 5))
+    ]
+    actions += [
+        Action(f"s{i}", knowledge_props=(KnowledgeProposition(f),))
+        for i, f in enumerate(rng.sample(fluents, 2))
+    ]
+    return PlanningDomain(fluents=fluents, actions=tuple(actions), init=init, oneofs=groups)
+
+
+def _concurrent_walk(domain: PlanningDomain, rng: random.Random) -> list:
+    """The states of a random walk to depth 4 in DFS order, three
+    successors per state, where each branch takes its own one or two
+    actions (a sensor among them or not) in every step."""
+    names = [a.name for a in domain.actions]
+    states = []
+
+    def visit(state, depth: int) -> None:
+        states.append(state)
+        if state.inconsistent or depth == 4:
+            return
+        for _ in range(3):
+            occurrences = {
+                br: tuple(rng.sample(names, rng.randint(1, 2))) for br in state.branches
+            }
+            try:
+                nxt = state.step(occurrences)
+            except EngineError:
+                continue
+            visit(nxt, depth + 1)
+
+    visit(initial_state(domain, 4, 8, checks=False), 0)
+    return states
+
+
+@pytest.fixture(scope="module")
+def concurrent_walks() -> list[list]:
+    """40 derandomized oneof domains, each with its concurrent walk."""
+    return [
+        _concurrent_walk(_oneof_domain(random.Random(9100 + i)), random.Random(9200 + i))
+        for i in range(40)
+    ]
+
+
+def test_the_column_core_matches_the_per_world_replay_on_concurrent_oneof_walks(
+    concurrent_walks,
+):
+    splits = concurrent = shrunk = 0
+    for states in concurrent_walks:
+        worlds = len(initial_sigma(states[0].domain))
+        for state in states:
+            for br in state.branches:
+                trace = branch_trace(state, br)
+                timeline = tqs_timeline(state.domain, trace)
+                assert timeline == _reference_timeline(state.domain, trace)
+                concurrent += any(len(step.actions) == 2 for step in trace)
+                shrunk += 0 < len(_reference_histories(state.domain, trace)) < worlds
+            if state.inconsistent:
+                continue
+            report = soundness_check(state)
+            assert report == _reference_report(state)
+            splits += len(state.branches) > 1
+    assert splits > 1000 and concurrent > 2500 and shrunk > 2500
+    # replayed the other way round, no parent was checked before its child
+    for states in concurrent_walks:
+        for state in reversed(states):
+            if not state.inconsistent:
+                assert soundness_check(state) == _reference_report(state)
+
+
+def test_a_planted_claim_is_reported_as_the_per_world_replay_reports_it(concurrent_walks):
+    """Each consistent state gets one extra claim on branch 0, a literal
+    it does not claim, at a time and of a fluent drawn at random: the
+    column core finds the same violations as the world-by-world test."""
+    rng = random.Random(9300)
+    wrong = 0
+    for states in concurrent_walks:
+        for state in states:
+            if state.inconsistent:
+                continue
+            branch = state.branches[0]
+            t = rng.randint(0, state.horizon)
+            bit = rng.randrange(2 * len(state.domain.fluents))
+            if branch.timeline.layer[t] >> bit & 1:
+                continue
+            planted = copy.copy(branch.timeline)
+            planted.layer = tuple(row | (1 << bit if i == t else 0) for i, row in enumerate(planted.layer))
+            variant = copy.copy(state)
+            variant.branches = {**state.branches, 0: dataclasses.replace(branch, timeline=planted)}
+            report = soundness_check(variant)
+            assert report == _reference_report(variant)
+            wrong += not report.ok
+    assert wrong > 300
