@@ -732,9 +732,12 @@ class EpistemicState:
 
     def known_literals(self, branch: int, t: int, t1: int | None = None) -> tuple:
         """Every literal known about time t, judged after t1 steps, in
-        bit order (fluent declaration order, true before false)."""
+        bit order (fluent declaration order, true before false); none
+        for the times `knows` rejects (not 0 <= t <= t1 <= horizon)."""
         if t1 is None:
             t1 = self.horizon
+        if not 0 <= t <= t1 <= self.horizon:
+            return ()
         mask = self.branches[branch].layer(t1)[t]
         lits = self.compiled.lits
         out = []

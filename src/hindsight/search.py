@@ -8,10 +8,10 @@ so each side's timeline is solved on its own, the strong goal owed by
 both sides and the weak goal by at least one.  No search node builds
 or copies a multi-branch state.  Horizons are iteratively deepened, so
 the first plan found uses the fewest steps; minimum-occurrence search
-adds an outer action-count budget.  Every restart starts from one root
-timeline, so a search validates and compiles its domain once.  Every
-search step applies at least one action: a wait only shifts the state
-one time point, so no search ever needed one (see _candidates).
+adds an outer action-count budget.  Every restart runs one solver from
+one root timeline, so a search validates and compiles its domain once.
+Every search step applies at least one action: a wait only shifts the
+state one time point, so no search ever needed one (see _candidates).
 
 Seven more cuts skip work that provably yields nothing, and so change
 no returned plan and no search order; each argument sits with its code
@@ -45,20 +45,22 @@ more than its occurrence budget × per_occ, yields nothing, and returns
 before listing its candidates.
 
 The sixth cut is a dead-end table, the transposition table of iterative
-deepening (Reinefeld & Marsland, IEEE TPAMI 16(7), 1994).  One table
-serves every restart of a _search call, at every horizon and occurrence
-budget.  It maps (row, weak flag) to the (d, occurrence budget) pairs
-whose search ran out without yielding, a budget of None being
-unbounded.  Fewer steps left or a smaller budget admit a subset of the
-same plans, so a node is skipped when a recorded pair has both a d and
-a budget at least as large as its own.  A node is recorded only when
-its generator ran out without yielding (one closed after a yield may
-have had more plans), and only when d >= 2: one step below the horizon,
-the frontier costs no more than the lookup.  Once the table holds
-MAX_DEAD_ENDS keys it takes no new key, but still updates the keys it
-holds, so a full table forgets no dead end it recorded.  The checked
-build expands every subtree either cut skips and asserts that it yields
-nothing.
+deepening (Reinefeld & Marsland, IEEE TPAMI 16(7), 1994).  One solver,
+and with it one table, serves every restart of a _search call, at every
+horizon and occurrence budget: the solver is told the steps d left, so
+nothing in it depends on the horizon.  The table maps (row, weak flag)
+to the (d, occurrence budget) pairs whose search ran out without
+yielding, a budget of None being unbounded.  Fewer steps left or a
+smaller budget admit a subset of the same plans, so a node is skipped
+when a recorded pair has both a d and a budget at least as large as its
+own.  A node is recorded only when its generator ran out without
+yielding (one closed after a yield may have had more plans), and only
+when d >= 2: one step below the horizon, the frontier costs no more
+than the lookup.  Once the table holds MAX_DEAD_ENDS keys it takes no
+new key, but still updates the keys it holds, so a full table forgets
+no dead end it recorded.  The checked build expands every candidate of
+a node either cut skips, or on the frontier goal-tests its row, and
+asserts that none yields a plan (assert_dead).
 
 The seventh cut skips a mirror image of a candidate that yielded
 nothing: symmetry pruning in state-space search (Fox & Long, IJCAI
@@ -125,7 +127,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain, combinations
 from typing import Callable, Iterator, Union
 
@@ -565,44 +566,16 @@ MAX_STEPS = 256
 MAX_DEAD_ENDS = 1 << 16
 
 
-@lru_cache(maxsize=1)
-def _solver_setup(
-    compiled: CompiledDomain, concurrent: bool
-) -> tuple[tuple, int, int, frozenset, int, int]:
-    """What _make_solver reads of the domain and mode alone: the weak
-    goal literals, the strong goal mask, the mask of both goals, the
-    sensors' names, and the most goal literals one occurrence
-    (`per_occ`) and one step (`per_step`) can cause.  Only the last
-    domain and mode are kept, so the restarts of one _search share one
-    computation."""
-    weak = compiled.domain.goal_literals("weak")
-    strong = compiled.mask(compiled.domain.goal_literals("strong"))
-    both = strong | compiled.mask(weak)
-    sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
-    per_occ = max(((a.effects & both).bit_count() for a in compiled.menu), default=0)
-    per_step = per_occ
-    if concurrent:
-        union = 0
-        for a in compiled.menu:
-            union |= a.effects
-        per_step = (union & both).bit_count()
-    return weak, strong, both, sensors, per_occ, per_step
+def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) -> Callable:
+    """Build the recursive timeline solver of one search.
 
-
-def _make_solver(
-    compiled: CompiledDomain,
-    horizon: int,
-    concurrent: bool,
-    dead_ends: dict | None = None,
-) -> Callable:
-    """Build the recursive timeline solver for one compiled domain and
-    horizon.
-
-    solve(timeline, weak_required, occ_budget, split_budget) yields
-    (plan, occurrence_count, split_count) in search order; the
-    occurrence budget is None for unbounded, the split budget always a
-    count.  `dead_ends` is the dead-end table the restarts of one search
-    share (module docstring); without it the solver keeps its own.
+    solve(timeline, d, weak_required, occ_budget, split_budget) yields
+    (plan, occurrence_count, split_count) in search order for the plans
+    of at most `d` steps from `timeline`; the occurrence budget is None
+    for unbounded, the split budget always a count.  Nothing in it
+    depends on the horizon, so every restart of a search calls the one
+    solve, with its horizon as `d`, and shares `dead_ends`, the
+    dead-end table (module docstring).
 
     The split budget bounds the splits of the whole plan: _search starts
     it at `max_branches`, a split takes one, and the false side gets
@@ -615,13 +588,23 @@ def _make_solver(
     candidate so left out would have had both sides of its split closed
     and then been refused.  None of them ever yielded a plan.
     """
-    weak, strong, both, sensors, per_occ, per_step = _solver_setup(compiled, concurrent)
+    weak = compiled.domain.goal_literals("weak")
+    strong = compiled.mask(compiled.domain.goal_literals("strong"))
+    both = strong | compiled.mask(weak)
+    sensors = frozenset(a.name for a in compiled.menu if a.sensed >= 0)
+    # the most goal literals one occurrence and one step can cause
+    per_occ = max(((a.effects & both).bit_count() for a in compiled.menu), default=0)
+    per_step = per_occ
+    if concurrent:
+        union = 0
+        for a in compiled.menu:
+            union |= a.effects
+        per_step = (union & both).bit_count()
     actions = compiled.actions
-    if dead_ends is None:
-        dead_ends = {}
 
     def solve(
         timeline: Timeline,
+        d: int,
         weak_required: bool,
         occ_budget: int | None,
         split_budget: int,
@@ -631,7 +614,6 @@ def _make_solver(
         if row & need == need:
             yield Leaf(), 0, 0
             return
-        d = horizon - timeline.horizon
         if d <= 0:
             return
         sensing = split_budget >= 1
@@ -652,7 +634,8 @@ def _make_solver(
                 and any(_covers(*seen, d, occ_budget) for seen in dead_ends.get(key, ()))
             ):
                 if timeline.checks:
-                    assert_dead(timeline, weak_required, occ_budget, split_budget)
+                    every = _candidates(compiled, timeline, concurrent, sensing)
+                    assert_dead(timeline, every, d, weak_required, occ_budget, split_budget)
                 return
         elif compiled.mirrors != {}:
             # it can split, and the domain is not known to have no block
@@ -669,12 +652,10 @@ def _make_solver(
                     mirror = _mirror_key(timeline, acts)
                     if mirror in failed:
                         if timeline.checks:
-                            # an internal invariant; a violation is a search bug, hence an assert
-                            hit = next(expand(timeline, acts, weak_required, occ_budget, split_budget), None)
-                            assert hit is None, f"the symmetry cut skipped {acts}, which leads to a plan"
+                            assert_dead(timeline, [acts], d, weak_required, occ_budget, split_budget)
                         continue
                 yielded = False
-                for hit in expand(timeline, acts, weak_required, occ_budget, split_budget):
+                for hit in expand(timeline, d, acts, weak_required, occ_budget, split_budget):
                     found = yielded = True
                     yield hit
                 if not yielded and failed is not None:
@@ -690,7 +671,7 @@ def _make_solver(
                 effects |= actions[name].effects
             if missing & ~effects:
                 if timeline.checks:
-                    _check_misses(timeline, acts, need)
+                    assert_dead(timeline, [acts], d, weak_required, occ_budget, split_budget)
                 continue
             try:
                 nxt = timeline.next_row(acts)
@@ -705,44 +686,50 @@ def _make_solver(
 
     def assert_dead(
         timeline: Timeline,
+        candidates: list[tuple[str, ...]],
+        d: int,
         weak_required: bool,
         occ_budget: int | None,
         split_budget: int,
     ) -> None:
-        """The checked build's independent check of the fifth and sixth
-        cuts: the node they skipped yields nothing.  Every successor is
-        expanded, or on the frontier its row goal-tested, so every cut
-        below is checked in turn."""
+        """The checked build's independent check of every skip: no
+        candidate in `candidates`, applied at `timeline` with `d` steps
+        left, leads to a plan.  The fifth and sixth cuts pass every
+        candidate of the node they skip, the symmetry cut and the
+        frontier's mask test the one they skip.  On the frontier a
+        candidate that does not sense has its row goal-tested; any other
+        is expanded, so every skip below is checked in turn."""
         need = both if weak_required else strong
-        frontier = timeline.horizon + 1 == horizon
-        for acts in _candidates(compiled, timeline, concurrent, split_budget >= 1):
+        for acts in candidates:
             if occ_budget is not None and len(acts) > occ_budget:
                 continue
-            if frontier:
+            if d == 1 and sensors.isdisjoint(acts):
                 _check_misses(timeline, acts, need)
             else:
                 # an internal invariant; a violation is a search bug, hence an assert
-                hit = next(expand(timeline, acts, weak_required, occ_budget, split_budget), None)
-                assert hit is None, f"a cut skipped {acts}, which leads to a plan"
+                hit = next(expand(timeline, d, acts, weak_required, occ_budget, split_budget), None)
+                assert hit is None, f"the search skipped {acts}, which leads to a plan"
 
     def expand(
         timeline: Timeline,
+        d: int,
         acts: tuple[str, ...],
         weak_required: bool,
         occ_budget: int | None,
         split_budget: int,
     ) -> Iterator[tuple[ConditionalPlan, int, int]]:
-        """Plans that start by applying `acts` to `timeline`.
+        """Plans of at most `d` steps that start by applying `acts` to
+        `timeline`.
 
         After a split, each plan of the true side is completed by every
         plan of the false side that fits the budgets it leaves over.
-        That false-side search, solve(no, child_weak, rem2, sb2), is a
-        pure function of its arguments and the solver's constants, and
-        `no` is the same for the whole split; so once a call has yielded
-        nothing, the same (child_weak, rem2, sb2) would yield nothing
-        again, and later true-side plans that leave it are skipped.  A
-        call that yielded a plan is not recorded: its plans are wanted
-        again with the next true-side plan.
+        That false-side search, solve(no, d - 1, child_weak, rem2, sb2),
+        is a pure function of its arguments and the solver's constants,
+        and `no` and `d` are the same for the whole split; so once a
+        call has yielded nothing, the same (child_weak, rem2, sb2) would
+        yield nothing again, and later true-side plans that leave it are
+        skipped.  A call that yielded a plan is not recorded: its plans
+        are wanted again with the next true-side plan.
         """
         cost = len(acts)
         if occ_budget is not None and cost > occ_budget:
@@ -765,7 +752,7 @@ def _make_solver(
             refuted = set()  # (weak flag, budgets) whose false side has no plan
             for parent_weak, child_weak in orders:
                 for p_plan, p_cost, p_splits in solve(
-                    yes, parent_weak, remaining, splits_left
+                    yes, d - 1, parent_weak, remaining, splits_left
                 ):
                     rem2 = None if remaining is None else remaining - p_cost
                     sb2 = splits_left - p_splits
@@ -773,7 +760,7 @@ def _make_solver(
                     if key in refuted:
                         continue
                     solved = False
-                    for c_plan, c_cost, c_splits in solve(no, child_weak, rem2, sb2):
+                    for c_plan, c_cost, c_splits in solve(no, d - 1, child_weak, rem2, sb2):
                         solved = True
                         yield (
                             Step(acts, fluent, None, p_plan, c_plan),
@@ -785,7 +772,7 @@ def _make_solver(
         else:
             # a step that does not split makes no clash (engine.py)
             for sub, sub_cost, sub_splits in solve(
-                successors[0], weak_required, remaining, split_budget
+                successors[0], d - 1, weak_required, remaining, split_budget
             ):
                 yield Step(acts, None, None, sub, None), cost + sub_cost, sub_splits
 
@@ -834,10 +821,9 @@ def _covers(d: int, budget: int | None, other_d: int, other_budget: int | None) 
 
 
 def _check_misses(timeline: Timeline, acts: tuple[str, ...], need: int) -> None:
-    """The checked build's independent check of the frontier's mask
-    test and of the cuts one step below the horizon: the row h+1 of a
-    candidate they skipped misses the goal `need`.  A set the
-    interference rules reject is skipped either way."""
+    """assert_dead's check of a skipped candidate `acts` that does not
+    sense, one step below the horizon: its row h+1 misses the goal
+    `need`.  A set the interference rules reject is skipped either way."""
     try:
         row = timeline.next_row(acts)
     except ConcurrencyError:
@@ -862,10 +848,11 @@ def _search(
     the plan fails its replay.
 
     A restart is an (occurrence budget, horizon) pair.  Every restart
-    starts from one time-zero timeline, built where the first restart
-    would build it, so a search validates and compiles the domain once
-    and raises what initial_state raises; with no restart to make,
-    nothing is built.  Timelines never change, so restarts can share it.
+    runs one solver, and its dead-end table, from one time-zero
+    timeline, built where the first restart would build it, so a search
+    validates and compiles the domain once and raises what initial_state
+    raises; with no restart to make, nothing is built.  Timelines never
+    change, so restarts can share it.
     Contradictory initial knowledge gives a timeline that cannot be
     stepped, so no plan starts there (expand drops inconsistent
     successors alike).
@@ -894,11 +881,10 @@ def _search(
     root = initial_state(domain, first[1], max_branches, checks).branches[0].timeline
     if root.inconsistent:
         return None
-    dead_ends: dict = {}  # shared by every restart (module docstring)
+    solve = _make_solver(root.compiled, concurrent, {})
     for occ_budget, horizon in chain([first], restarts):
-        solve = _make_solver(root.compiled, horizon, concurrent, dead_ends)
         # the search's generators are dropped before the replay runs
-        hit = next(solve(root, True, occ_budget, max_branches), None)
+        hit = next(solve(root, horizon, True, occ_budget, max_branches), None)
         if hit is not None:
             plan = hit[0]
             report = verify_plan(domain, plan, max_steps, max_branches, checks)

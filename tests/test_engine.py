@@ -385,6 +385,21 @@ def test_a_child_knows_nothing_before_its_split_and_its_parents_rows_at_it():
     assert child.layer(s.horizon) is child.timeline.layer
 
 
+def test_known_literals_is_empty_wherever_knows_is_false():
+    """known_literals(branch, t, t1) lists exactly the literals knows(lit,
+    t, branch, t1) holds for, out-of-range times included: t1 beyond the
+    horizon, t beyond t1, and negative times."""
+    s = run_door_narrative()
+    lits = [lit for f in s.domain.fluents for lit in (pos(f), neg(f))]
+    for br in s.branches:
+        for t1 in range(-2, s.horizon + 3):
+            for t in range(-2, s.horizon + 3):
+                known = tuple(lit for lit in lits if s.knows(lit, t, br, t1))
+                assert s.known_literals(br, t, t1) == known, (br, t, t1)
+        assert s.known_literals(br, s.horizon) == s.known_literals(br, s.horizon, s.horizon)
+        assert s.known_literals(br, s.horizon + 1) == ()
+
+
 def test_negative_postdiction_never_blames_a_repeated_condition_alone():
     # a repeated condition counts among the "others" of its own copy, so
     # it is blamed only when every condition was known to hold

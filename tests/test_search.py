@@ -9,9 +9,11 @@ than the cheapest one.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import pathlib
 import random
+import weakref
 from itertools import combinations, islice
 
 import pytest
@@ -583,6 +585,27 @@ def test_checked_searches_assert_each_skipped_frontier_row_misses_the_goal(monke
     assert len(checked) > 1000
 
 
+def test_the_checked_build_catches_a_faulty_frontier_mask_test():
+    """With `drive`'s effect mask emptied, the frontier's mask test skips
+    the step that ends the door plan; the checked build computes that
+    step's row and finds it meets the goal."""
+    root = initial_state(door_domain(), 3, 2, checks=True).branches[0].timeline
+    root.compiled.actions["drive"].effects = 0
+    solve = search._make_solver(root.compiled, False, {})
+    with pytest.raises(AssertionError, match=r"skipped \('drive',\), which meets the goal"):
+        next(solve(root, 3, True, None, 2), None)
+
+
+def test_the_checked_build_catches_a_faulty_symmetry_cut(monkeypatch):
+    """With every candidate given the same mirror key, the symmetry cut
+    skips the door plan's `sense_open` once a second `open_door` there
+    yielded nothing; the checked build expands it and finds the plan."""
+    monkeypatch.setattr(search, "_mirror_key", lambda timeline, acts: 0)
+    assert find_plan(door_domain(), 3, 1, checks=False) is None
+    with pytest.raises(AssertionError, match=r"skipped \('sense_open',\), which leads to a plan"):
+        find_plan(door_domain(), 3, 1, checks=True)
+
+
 def _duplicate_an_action(domain: PlanningDomain) -> PlanningDomain:
     """The domain with a copy, under a new name, of the action that
     causes the most goal literals (the first such in declaration order)."""
@@ -963,8 +986,8 @@ def test_the_symmetry_cut_changes_no_yield_of_the_solver(monkeypatch):
         found = []
         for d, max_steps, max_branches in cases:
             root = initial_state(d, max_steps, max_branches, checks=False).branches[0].timeline
-            solve = search._make_solver(root.compiled, max_steps, False)
-            found.append(list(islice(solve(root, True, None, max_branches), 300)))
+            solve = search._make_solver(root.compiled, False, {})
+            found.append(list(islice(solve(root, max_steps, True, None, max_branches), 300)))
         return found
 
     with_cut = yields()
@@ -1285,12 +1308,10 @@ def test_a_full_dead_end_table_keeps_its_keys_and_changes_no_plan(monkeypatch):
             return entries
 
     real = search._make_solver
-    current = {}  # the search's own table, and the one standing in for it
 
-    def watched(compiled, horizon, concurrent, dead_ends=None):
-        if current.get("table") is not dead_ends:
-            current.update(table=dead_ends, stand_in=Watched())
-        return real(compiled, horizon, concurrent, current["stand_in"])
+    def watched(compiled, concurrent, dead_ends):
+        # one solver per search, so each search's table has its stand-in
+        return real(compiled, concurrent, Watched())
 
     monkeypatch.setattr(search, "MAX_DEAD_ENDS", cap)
     monkeypatch.setattr(search, "_make_solver", watched)
@@ -1310,12 +1331,13 @@ def test_optimal_search_tries_no_horizon_above_the_occurrence_budget(
     real = search._make_solver
     tried = []
 
-    def counting(compiled, horizon, *args):
-        solve = real(compiled, horizon, *args)
+    def counting(*args):
+        solve = real(*args)
 
-        def restart(timeline, weak_required, occ_budget, split_budget):
+        # only _search calls the solve it gets; the recursion does not
+        def restart(timeline, horizon, weak_required, occ_budget, split_budget):
             tried.append((occ_budget, horizon))
-            return solve(timeline, weak_required, occ_budget, split_budget)
+            return solve(timeline, horizon, weak_required, occ_budget, split_budget)
 
         return restart
 
@@ -1335,17 +1357,23 @@ class TooManyRestarts(Exception):
 
 
 def _count_restarts(monkeypatch, limit: int) -> list[int]:
-    """Count the restarts of the searches that follow, through
-    `_make_solver`, and raise once there are more than `limit`, so a
-    search that would run on for ever fails at once."""
+    """Count the restarts of the searches that follow, through the solve
+    `_make_solver` returns (only _search calls it; the recursion does
+    not), and raise once there are more than `limit`, so a search that
+    would run on for ever fails at once."""
     real = search._make_solver
     count = [0]
 
-    def counting(*args, **kwargs):
-        count[0] += 1
-        if count[0] > limit:
-            raise TooManyRestarts(f"more than {limit} restarts")
-        return real(*args, **kwargs)
+    def counting(*args):
+        solve = real(*args)
+
+        def restart(*solve_args):
+            count[0] += 1
+            if count[0] > limit:
+                raise TooManyRestarts(f"more than {limit} restarts")
+            return solve(*solve_args)
+
+        return restart
 
     monkeypatch.setattr(search, "_make_solver", counting)
     return count
@@ -1385,8 +1413,9 @@ def _reference_optimal_plan(domain, max_steps, max_branches, concurrent):
     per_step = len(domain.actions) if concurrent else 1
     for budget in range(max_steps * (max_branches + 1) * per_step + 1):
         for horizon in range(min(max_steps, budget) + 1):
-            solve = search._make_solver(root.compiled, horizon, concurrent)
-            hit = next(solve(root, True, budget, max_branches), None)
+            # a fresh solver per restart: a reference without the shared table
+            solve = search._make_solver(root.compiled, concurrent, {})
+            hit = next(solve(root, horizon, True, budget, max_branches), None)
             if hit is not None:
                 return hit[0]
     return None
@@ -1439,6 +1468,34 @@ def test_a_search_validates_and_compiles_its_domain_once(monkeypatch):
     # one build for the search and one for the replay of its plan
     assert find_plan(d, 4, 1) == DOOR_PLAN
     assert builds == ["validate", "compile"] * 2
+
+
+def test_one_solver_serves_every_restart_of_a_search(monkeypatch):
+    restarts = _count_restarts(monkeypatch, 100)
+    counting = search._make_solver
+    solvers = []
+
+    def once(*args):
+        solvers.append(args)
+        return counting(*args)
+
+    monkeypatch.setattr(search, "_make_solver", once)
+    d = door_domain()
+    # horizons 0..3, the last the door plan's depth
+    assert find_plan(d, 4, 1) == DOOR_PLAN
+    assert (len(solvers), restarts[0]) == (1, 4)
+    # 15 (budget, horizon) restarts, none with a plan
+    assert find_optimal_plan(d, 4, 0) is None
+    assert (len(solvers), restarts[0]) == (2, 19)
+
+
+def test_a_searched_domain_does_not_outlive_its_search():
+    d = generate_sickness(4)
+    ref = weakref.ref(d)
+    assert find_plan(d, *benchmark_bounds("sickness", 4)) is not None
+    del d
+    gc.collect()
+    assert ref() is None
 
 
 def test_a_search_raises_what_its_first_restart_raises():
