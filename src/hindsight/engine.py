@@ -61,11 +61,6 @@ exception with the same message; a set that raised is not kept.  So
 the interference check runs once per set that passes it, whether the
 set holds one action or many.
 
-`Timeline.next_row(names)` is the cheap form of a step that does not
-split: it validates `names` the same way and returns row h+1, building
-no timeline.  A search node one step below its horizon needs nothing
-more of its successors than their newest row's goal test (search.py).
-
 Closure is incremental.  All rules are monotone, so a layer has one
 least fixpoint above its starting rows, and any order of rule
 application that stops only when no rule adds anything reaches it.
@@ -109,7 +104,7 @@ h+1, and a pair that changes a row requeues the pairs sharing that row
 (and the oneof rule for point 0).  Seeding with every point instead
 closes a layer from scratch, which the assertion-checked build uses to
 confirm both paths: for a step that does not split, that no row <= h
-changes and row h+1 is the one-pass row (in `next_row` as in `step`).
+changes and row h+1 is the one-pass row.
 """
 
 from __future__ import annotations
@@ -571,53 +566,17 @@ class Timeline:
         # no split: row h+1 is the only new row, and the old rows are shared
         new = compiled.forward_row(rules, row)
         if self.checks:
-            self._check_forward_row(rules, new)
+            # internal invariants; violations are engine bugs, hence asserts
+            assert not _clashes(compiled, (new,)), "a step that does not split made a clash"
+            again = [*self.layer, 0]
+            compiled.close_layer(history, again, range(len(again)))
+            assert tuple(again) == self.layer + (new,), "a step that does not split was not closed"
         return (
             Timeline(
                 compiled, self.layer + (new,), history, self.splits, self.checks,
                 False, self, names, observation,
             ),
         )
-
-    def next_row(self, names: Sequence[str]) -> int:
-        """Row h+1 of the step `step(names)` would make, for a step that
-        does not split; no timeline is built.
-
-        Validates `names` as `step` does and raises what it raises (the
-        messages name branch 0).  A sensor on a value the newest row does
-        not know would split, and raises EngineError.  The row has no
-        clash (see the module docstring).  With `checks`, asserts what a
-        checked `step` asserts of its new row: no clash, and the row a
-        from-scratch closure of the old rows and an empty row h+1 gives.
-        It never calls `step`.
-        """
-        if self.inconsistent:
-            raise EngineError("cannot step an inconsistent state")
-        compiled = self.compiled
-        h = self.horizon
-        row = self.layer[h]
-        names = tuple(names)
-        rules, sensed = compiled.occurrences(names, row, h, 0)
-        if sensed >= 0 and not row >> sensed & 3:  # neither value known
-            raise EngineError(
-                f"sensing '{compiled.fluents[sensed >> 1]}' at step {h} splits; "
-                "only step can make a split"
-            )
-        new = compiled.forward_row(rules, row)
-        if self.checks:
-            self._check_forward_row(rules, new)
-        return new
-
-    def _check_forward_row(self, rules: tuple, new: int) -> None:
-        """The checked build's assertions on row h+1 `new` of a step that
-        does not split, with compiled rules `rules`: it has no clash, and
-        the closure from scratch of the old rows and an empty row h+1
-        changes no row <= h and gives `new` exactly."""
-        # internal invariants; violations are engine bugs, hence asserts
-        assert not _clashes(self.compiled, (new,)), "a step that does not split made a clash"
-        again = [*self.layer, 0]
-        self.compiled.close_layer(self.rules + (rules,), again, range(len(again)))
-        assert tuple(again) == self.layer + (new,), "a step that does not split was not closed"
 
     def _split(
         self,

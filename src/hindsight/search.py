@@ -44,6 +44,20 @@ concurrency.  A node missing more than d × per_step goal literals, or
 more than its occurrence budget × per_occ, yields nothing, and returns
 before listing its candidates.
 
+One step below the horizon the fifth cut also works per candidate, at
+every node, as a test of one step.  A successor there is at its
+horizon, so it yields a plan only if its newest row meets the goal.  A
+candidate that does not sense makes a step that does not split
+(_candidates offers a sensor only on an unknown value), whose row h+1
+is the part of row h that persists plus the effects its rules cause,
+even at a timeline that can split.  So each goal literal row h lacks
+must be an effect of the candidate's own actions, and a candidate that
+does not sense and whose effect mask does not cover `missing` is
+skipped without a step.  A split adds the sensed value to row h, and
+what that lets the closure derive may persist into row h+1 uncaused,
+so a sensing candidate is never skipped this way.  Every other
+candidate goes through the seventh cut and expand as at any depth.
+
 The sixth cut is a dead-end table, the transposition table of iterative
 deepening (Reinefeld & Marsland, IEEE TPAMI 16(7), 1994).  One solver,
 and with it one table, serves every restart of a _search call, at every
@@ -55,12 +69,13 @@ smaller budget admit a subset of the same plans, so a node is skipped
 when a recorded pair has both a d and a budget at least as large as its
 own.  A node is recorded only when its generator ran out without
 yielding (one closed after a yield may have had more plans), and only
-when d >= 2: one step below the horizon, the frontier costs no more
-than the lookup.  Once the table holds MAX_DEAD_ENDS keys it takes no
-new key, but still updates the keys it holds, so a full table forgets
-no dead end it recorded.  The checked build expands every candidate of
-a node either cut skips, or on the frontier goal-tests its row, and
-asserts that none yields a plan (assert_dead).
+when d >= 2: one step below the horizon, the one-step form of the
+fifth cut decides most candidates with a mask test each.  Once the
+table holds MAX_DEAD_ENDS keys it takes no new key, but still updates
+the keys it holds, so a full table forgets no dead end it recorded.
+The checked build expands every candidate of a node either cut skips,
+and every candidate the one-step form skips, and asserts that none
+yields a plan (assert_dead).
 
 The seventh cut skips a mirror image of a candidate that yielded
 nothing: symmetry pruning in state-space search (Fox & Long, IJCAI
@@ -87,30 +102,6 @@ a search that can make no split never looks for blocks; a search looks
 for them at its first key, once per compiled domain
 (`CompiledDomain.find_mirrors`).  The checked build expands every
 candidate the cut skips and asserts that it yields nothing.
-
-The frontier is not a cut: it does the same work in a cheaper form.  A
-node one step below its horizon has nothing left to search below each
-successor but the goal test of the successor's newest row, since the
-successor is at the horizon and either is a leaf or yields nothing.
-So solve handles each candidate that does not sense there itself, in
-expand's order: the occurrence-budget check, then `Timeline.next_row`
-for row h+1 (a candidate the interference rules reject is skipped, as
-expand skips it), and a row that meets the goal yields the one-step
-plan expand would have built around the successor's Leaf.  Row h+1 of
-a step that does not split has no clash (engine.py), so no successor
-there is inconsistent.  A sensing candidate always splits (_candidates
-offers a sensor only on an unknown value), and still goes through
-expand.  The yields, their costs and their order are those of expand,
-so no returned plan changes; the replay of every returned plan by
-verify_plan still guards it.
-
-The frontier also decides part of that goal test before computing the
-row.  By the argument above, each goal literal row h lacks must be an
-effect of the candidate's own actions, so a candidate whose effect mask
-does not cover `missing` misses the goal, and next_row is not called
-for it.  This only answers the goal test early, so no yield, cost or
-order changes.  The checked build still computes the row of every
-candidate it skips and asserts that it misses the goal.
 
 Every plan a search returns has been replayed once through the engine
 from scratch by verify_plan, which is also the public checker for plans
@@ -640,45 +631,34 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
         elif compiled.mirrors != {}:
             # it can split, and the domain is not known to have no block
             failed = set()
-        # on the frontier a successor's only test is its newest row's goal
-        # test, so a step that does not split builds no timeline there
-        frontier = d == 1
         found = False
         for acts in _candidates(compiled, timeline, concurrent, sensing):
-            # a sensor here always splits
-            if not frontier or not sensors.isdisjoint(acts):
-                mirror = None
-                if failed:
+            if d == 1 and sensors.isdisjoint(acts):
+                # the fifth cut's one-step form: the successor is at the
+                # horizon, and its row gains only what acts causes
+                effects = 0
+                for name in acts:
+                    effects |= actions[name].effects
+                if missing & ~effects:
+                    if timeline.checks:
+                        assert_dead(timeline, [acts], d, weak_required, occ_budget, split_budget)
+                    continue
+            mirror = None
+            if failed:
+                mirror = _mirror_key(timeline, acts)
+                if mirror in failed:
+                    if timeline.checks:
+                        assert_dead(timeline, [acts], d, weak_required, occ_budget, split_budget)
+                    continue
+            yielded = False
+            for hit in expand(timeline, d, acts, weak_required, occ_budget, split_budget):
+                found = yielded = True
+                yield hit
+            if not yielded and failed is not None:
+                if not failed:
                     mirror = _mirror_key(timeline, acts)
-                    if mirror in failed:
-                        if timeline.checks:
-                            assert_dead(timeline, [acts], d, weak_required, occ_budget, split_budget)
-                        continue
-                yielded = False
-                for hit in expand(timeline, d, acts, weak_required, occ_budget, split_budget):
-                    found = yielded = True
-                    yield hit
-                if not yielded and failed is not None:
-                    if not failed:
-                        mirror = _mirror_key(timeline, acts)
-                    if mirror is not None:
-                        failed.add(mirror)
-                continue
-            if occ_budget is not None and len(acts) > occ_budget:
-                continue
-            effects = 0
-            for name in acts:
-                effects |= actions[name].effects
-            if missing & ~effects:
-                if timeline.checks:
-                    assert_dead(timeline, [acts], d, weak_required, occ_budget, split_budget)
-                continue
-            try:
-                nxt = timeline.next_row(acts)
-            except ConcurrencyError:
-                continue
-            if nxt & need == need:
-                yield Step(acts, None, None, Leaf(), None), len(acts), 0
+                if mirror is not None:
+                    failed.add(mirror)
         if key is not None and not found and (len(dead_ends) < MAX_DEAD_ENDS or key in dead_ends):
             entries = dead_ends.setdefault(key, [])
             entries[:] = [seen for seen in entries if not _covers(d, occ_budget, *seen)]
@@ -695,20 +675,13 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
         """The checked build's independent check of every skip: no
         candidate in `candidates`, applied at `timeline` with `d` steps
         left, leads to a plan.  The fifth and sixth cuts pass every
-        candidate of the node they skip, the symmetry cut and the
-        frontier's mask test the one they skip.  On the frontier a
-        candidate that does not sense has its row goal-tested; any other
-        is expanded, so every skip below is checked in turn."""
-        need = both if weak_required else strong
+        candidate of the node they skip, the fifth cut's one-step form
+        and the symmetry cut the one they skip.  Each is expanded, so
+        every skip below is checked in turn."""
         for acts in candidates:
-            if occ_budget is not None and len(acts) > occ_budget:
-                continue
-            if d == 1 and sensors.isdisjoint(acts):
-                _check_misses(timeline, acts, need)
-            else:
-                # an internal invariant; a violation is a search bug, hence an assert
-                hit = next(expand(timeline, d, acts, weak_required, occ_budget, split_budget), None)
-                assert hit is None, f"the search skipped {acts}, which leads to a plan"
+            # an internal invariant; a violation is a search bug, hence an assert
+            hit = next(expand(timeline, d, acts, weak_required, occ_budget, split_budget), None)
+            assert hit is None, f"the search skipped {acts}, which leads to a plan"
 
     def expand(
         timeline: Timeline,
@@ -818,18 +791,6 @@ def _covers(d: int, budget: int | None, other_d: int, other_budget: int | None) 
     return d >= other_d and (
         budget is None or other_budget is not None and budget >= other_budget
     )
-
-
-def _check_misses(timeline: Timeline, acts: tuple[str, ...], need: int) -> None:
-    """assert_dead's check of a skipped candidate `acts` that does not
-    sense, one step below the horizon: its row h+1 misses the goal
-    `need`.  A set the interference rules reject is skipped either way."""
-    try:
-        row = timeline.next_row(acts)
-    except ConcurrencyError:
-        return
-    # an internal invariant; a violation is a search bug, hence an assert
-    assert row & need != need, f"the search skipped {acts}, which meets the goal"
 
 
 def _search(

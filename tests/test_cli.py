@@ -103,6 +103,44 @@ def test_solve_reports_oracle_result_in_the_summary(capsys):
     assert "oracle check: ok (" in out
 
 
+COIN = """
+(:action toss1 :effect r1 (when (and d e) heads))
+(:action toss2 :executable (and r1) :effect r2 (when (and d ¬e) heads))
+(:action toss3 :executable (and r2) :effect r3 (when (and ¬d e) heads))
+(:action toss4 :executable (and r3) :effect ready (when (and ¬d ¬e) heads))
+(:action look :executable (and ready) :observe heads)
+(:action claim :executable (and ¬heads ready) :effect w)
+(:init ¬heads ¬w ¬r1 ¬r2 ¬r3 ¬ready)
+(:goal weak w)
+"""
+
+
+def test_solve_names_the_vacuous_branches_in_the_oracle_summary(capsys, tmp_path):
+    """After the four tosses heads holds in every world, so no world
+    reaches the plan's -heads side, branch 1, where it claims.  The
+    summary names that branch.  This is the gap ROADMAP item 7 describes:
+    judging the plan in the worlds may change this text on purpose."""
+    coin = tmp_path / "coin.hpx"
+    coin.write_text(COIN, encoding="utf-8")
+    code, out, _ = run(capsys, "solve", str(coin), "--oracle-check",
+                       "--max-steps", "7", "--max-branches", "1")
+    assert code == 0
+    assert "oracle check: ok (45 atoms checked, branches [1] vacuous)" in out
+
+
+def test_solve_exits_three_when_the_oracle_finds_violations(capsys, monkeypatch):
+    from hindsight import cli
+    from hindsight.oracle import SoundnessReport
+
+    monkeypatch.setattr(
+        cli, "soundness_check", lambda state: SoundnessReport(1, ("knows(open,0,1,0) is wrong",))
+    )
+    code, out, err = run(capsys, "solve", DOOR, "--oracle-check")
+    assert code == 3
+    assert "oracle check: 1 VIOLATIONS: knows(open,0,1,0) is wrong" in out
+    assert "error: oracle check found violations" in err
+
+
 def test_solve_too_small_budget_exits_one(capsys):
     code, out, err = run(capsys, "solve", DOOR, "--max-steps", "1")
     assert code == 1

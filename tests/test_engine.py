@@ -436,17 +436,12 @@ def test_checked_stepping_catches_a_forward_row_that_drops_causation(monkeypatch
 
     # unchecked, driving through the open door no longer gets anyone in ...
     assert not narrative(False).knows(pos("in_liv"), 3, 0)
-    # ... and the checked build notices that the new row was not closed,
-    # in step and in next_row, which never calls step
+    # ... and the checked build notices that the new row was not closed
     with pytest.raises(AssertionError, match="does not split was not closed"):
         narrative(True)
-    s = initial_state(door_domain(), max_steps=3, max_branches=1, checks=True)
-    s = s.step({0: ["open_door"]}).step({0: ["sense_open"]})
-    with pytest.raises(AssertionError, match="does not split was not closed"):
-        s.branches[0].timeline.next_row(("drive",))
 
 
-# -- next_row and the validation cache -------------------------------------------
+# -- the validation cache --------------------------------------------------------
 
 
 def _raised(call):
@@ -496,14 +491,11 @@ def _rejected_occurrences():
     ]
 
 
-def test_next_row_rejects_what_step_rejects_and_caches_no_rejected_set():
+def test_step_caches_no_rejected_set():
     for domain, names, kind in _rejected_occurrences():
-        # each call on a fresh domain, so no cache entry can decide it
-        stepped = _raised(
-            lambda: initial_state(domain(), 1, 1, True).branches[0].timeline.step(names)
-        )
+        # a fresh domain, so no cache entry can decide the first call
         root = initial_state(domain(), 1, 1, True).branches[0].timeline
-        assert _raised(lambda: root.next_row(names)) == stepped, names
+        stepped = _raised(lambda: root.step(names))
         assert stepped[0] is kind, names
         # a set that raised is not kept, so it raises again, and alike
         assert names not in root.compiled.valid, names
@@ -521,27 +513,23 @@ def test_a_cached_set_is_still_checked_for_executability():
     assert ("drive",) in s.compiled.valid
     root = s.branches[0].timeline.chain()[0]
     assert _raised(lambda: root.step(("drive",))) == expected
-    assert _raised(lambda: root.next_row(("drive",))) == expected
     # and on the side where the door stayed shut, alike
     shut = s.branches[1].timeline
-    message = _raised(lambda: shut.next_row(("drive",)))
-    assert message == _raised(lambda: shut.step(("drive",)))
-    assert message == (
+    assert _raised(lambda: shut.step(("drive",))) == (
         ExecutabilityError, "'drive' at step 3 on branch 0 requires open to be known"
     )
 
 
-def test_next_row_refuses_a_sensor_that_would_split():
+def test_a_look_splits_on_an_unknown_value_only():
     s = initial_state(door_domain(), 2, 1, checks=True).step({0: ["open_door"]})
     timeline = s.branches[0].timeline
     assert len(timeline.step(("sense_open",))) == 2
-    with pytest.raises(EngineError, match="splits"):
-        timeline.next_row(("sense_open",))
-    # once the value is known, a look does not split, and next_row gives
-    # the row step gives
+    # once the value is known, a look gives one successor, which knows
+    # the value it looked at
     known = timeline.step(("sense_open",))[1]
     (after,) = known.step(("sense_open",))
-    assert known.next_row(("sense_open",)) == after.layer[-1]
+    assert after.splits == known.splits
+    assert after.observation == ("open", False)
 
 
 # Pinned from the whole-layer sweep closure that preceded the worklist
@@ -704,11 +692,10 @@ def test_random_walks_beyond_criterion_2_stay_monotone_and_sound():
     """Random domains of up to 6 fluents and random occurrence sequences
     to depth 7, with concurrent sets and looks at known values, stepped
     with checks: no step loses a knowledge atom, every consistent state
-    is sound against the possible worlds, and on every branch whose step
-    did not split, `next_row` gives the successor's newest row."""
+    is sound against the possible worlds."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    seen = {"depth 7": 0, "concurrent": 0, "split": 0, "known look": 0, "next row": 0}
+    seen = {"depth 7": 0, "concurrent": 0, "split": 0, "known look": 0}
 
     @st.composite
     def domains(draw):
@@ -766,12 +753,6 @@ def test_random_walks_beyond_criterion_2_stay_monotone_and_sound():
                 except EngineError:
                     pass
             assert set(state.knows_atoms()) <= set(nxt.knows_atoms())
-            # a step that does not split: next_row is step's newest row
-            for br, b in state.branches.items():
-                after = nxt.branches[br].timeline
-                if after.splits == b.timeline.splits:
-                    assert b.timeline.next_row(occ.get(br, ())) == after.layer[-1]
-                    seen["next row"] += 1
             for b in nxt.branches.values():
                 for t1 in range(nxt.horizon):
                     for t in range(t1 + 1):

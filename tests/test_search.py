@@ -549,9 +549,10 @@ def test_a_concurrent_step_covers_the_missing_goal_with_a_pair():
     assert plan_depth(find_plan(d, 2, 0)) == 2
 
 
-def test_checked_searches_assert_each_skipped_frontier_row_misses_the_goal(monkeypatch):
-    """The checked build computes the row of each candidate the mask test
-    skips and asserts that it misses the goal; the plans are unchanged."""
+def test_checked_searches_step_each_candidate_the_frontier_mask_test_skips(monkeypatch):
+    """The checked build expands each candidate the frontier's mask test
+    skips, and so steps it, and asserts that it leads to no plan; the
+    plans are unchanged."""
     cases = []
     for generate, kind, n in (
         (generate_bomb, "bomb", 5),
@@ -563,18 +564,19 @@ def test_checked_searches_assert_each_skipped_frontier_row_misses_the_goal(monke
     for domain in (goal_pair_domain, weak_pair_domain, concurrent_pair_domain):
         cases.append((domain.__name__, domain(), (3, 0), False))
     cases.append(("concurrent_pair_domain", concurrent_pair_domain(), (2, 0), True))
+    real = Timeline.step
+    stepped = []
+
+    def counting(self, names, branch=0):
+        stepped.append(names)
+        return real(self, names, branch)
+
+    monkeypatch.setattr(Timeline, "step", counting)
     found = []
     for _label, d, (steps, branches), concurrent in cases:
         for search_for in (find_plan, find_optimal_plan):
             found.append(search_for(d, steps, branches, concurrent=concurrent, checks=False))
-    real = search._check_misses
-    checked = []
-
-    def counting(timeline, acts, need):
-        checked.append(acts)
-        real(timeline, acts, need)
-
-    monkeypatch.setattr(search, "_check_misses", counting)
+    unchecked = len(stepped)
     again = []
     for label, d, (steps, branches), concurrent in cases:
         for search_for in (find_plan, find_optimal_plan):
@@ -582,17 +584,26 @@ def test_checked_searches_assert_each_skipped_frontier_row_misses_the_goal(monke
             assert plan is not None, label
             again.append(plan)
     assert again == found
-    assert len(checked) > 1000
+    assert len(stepped) - 2 * unchecked > 1000
+    # one step below the horizon, at time zero of the door domain, the
+    # only candidate is open_door, which cannot cause in_liv: the search
+    # skips it, and only the checked build steps it
+    for checks, expected in ((False, []), (True, [("open_door",)])):
+        root = initial_state(door_domain(), 1, 1, checks=checks).branches[0].timeline
+        solve = search._make_solver(root.compiled, False, {})
+        stepped.clear()
+        assert next(solve(root, 1, True, None, 1), None) is None
+        assert stepped == expected
 
 
 def test_the_checked_build_catches_a_faulty_frontier_mask_test():
     """With `drive`'s effect mask emptied, the frontier's mask test skips
-    the step that ends the door plan; the checked build computes that
-    step's row and finds it meets the goal."""
+    the step that ends the door plan; the checked build expands that
+    step and finds that it leads to a plan."""
     root = initial_state(door_domain(), 3, 2, checks=True).branches[0].timeline
     root.compiled.actions["drive"].effects = 0
     solve = search._make_solver(root.compiled, False, {})
-    with pytest.raises(AssertionError, match=r"skipped \('drive',\), which meets the goal"):
+    with pytest.raises(AssertionError, match=r"skipped \('drive',\), which leads to a plan"):
         next(solve(root, 3, True, None, 2), None)
 
 
@@ -1198,13 +1209,11 @@ def test_a_renaming_that_keeps_name_order_renames_the_plan():
 # benchmark bounds, on split_budget_domain, whose search resumes the true
 # side of a split after its false side failed, and over criterion 2's
 # 1000 domains, whose weak goals solve each split twice.  A step is a
-# Timeline.step call or, one step below the horizon, a Timeline.next_row
-# call for a candidate that does not split; FIND_PLAN_STEPS counts both,
-# as every figure was pinned when each was a Timeline.step call, and
-# FIND_PLAN_FRONTIER_ROWS the next_row calls among them.  A frontier
-# candidate whose effects cannot complete the goal makes neither call,
-# and neither does a node that cannot split when the goal-count bound
-# or the dead-end table skips it.
+# Timeline.step call, raising or not.  A candidate one step below the
+# horizon that does not sense and whose effects cannot complete the goal
+# makes none, and neither does a node that cannot split when the
+# goal-count bound or the dead-end table skips it, nor a mirror image the
+# symmetry cut skips.
 FIND_PLAN_STEPS = {
     "bomb(4)": 11,
     "bomb(5)": 16,
@@ -1215,19 +1224,7 @@ FIND_PLAN_STEPS = {
     "sickness(4)": 63,
     "sickness(5)": 128,
     "split_budget_domain": 165,
-    "criterion 2": 5908,
-}
-FIND_PLAN_FRONTIER_ROWS = {
-    "bomb(4)": 1,
-    "bomb(5)": 1,
-    "bomb(6)": 1,
-    "rings(2)": 1,
-    "rings(3)": 1,
-    "sickness(3)": 4,
-    "sickness(4)": 7,
-    "sickness(5)": 11,
-    "split_budget_domain": 114,
-    "criterion 2": 530,
+    "criterion 2": 5907,
 }
 
 
@@ -1249,10 +1246,8 @@ def test_find_plan_makes_the_pinned_number_of_timeline_steps(monkeypatch):
     )
 
     real_step = Timeline.step
-    real_next_row = Timeline.next_row
     steps = []  # splits so far of each timeline stepped, raising or not
     split = []  # splits so far of each timeline whose step split
-    rows = []  # occurrences of each next_row call, raising or not
 
     def counting(self, names, branch=0):
         steps.append(self.splits)
@@ -1261,27 +1256,18 @@ def test_find_plan_makes_the_pinned_number_of_timeline_steps(monkeypatch):
             split.append(self.splits)
         return successors
 
-    def counting_rows(self, names):
-        rows.append(names)
-        return real_next_row(self, names)
-
     monkeypatch.setattr(Timeline, "step", counting)
-    monkeypatch.setattr(Timeline, "next_row", counting_rows)
     counts = {}
-    frontier = {}
     for label, (domains, (max_steps, max_branches)) in cases.items():
         steps.clear()
         split.clear()
-        rows.clear()
-        # the checked build also computes the rows of skipped candidates
+        # the checked build also steps the candidates the cuts skip
         for d in domains:
             find_plan(d, max_steps, max_branches, checks=False)
-        counts[label] = len(steps) + len(rows)
-        frontier[label] = len(rows)
+        counts[label] = len(steps)
         # no split is closed only to be refused on the branch budget
         assert all(splits + 1 <= max_branches for splits in split), label
     assert counts == FIND_PLAN_STEPS
-    assert frontier == FIND_PLAN_FRONTIER_ROWS
 
 
 def test_a_full_dead_end_table_keeps_its_keys_and_changes_no_plan(monkeypatch):
@@ -1609,6 +1595,35 @@ def test_replay_surfaces_goal_failure_without_errors():
     assert not report.plan_found
     assert report.errors == ()
     assert report.weak_branches == ()
+
+
+def test_replay_stops_where_knowledge_becomes_contradictory():
+    """Criterion 2's domain 42 without its unused a2.  a1 turns f1 off
+    where it was on, and the look at f1 after it splits.  On the true
+    side no effect made f1 true, so it persists back to before a1, and
+    then a1 causes -f1 after it: that side knows f1 and -f1."""
+    d = parse_domain(
+        "(:fluents f1) (:action a1 :effect (when f1 -f1)) (:action a3 :observe f1)"
+    )
+    plan = Step(("a1",), None, None, Step(("a3",), "f1", None, Leaf(), Leaf()), None)
+    report = verify_plan(d, plan, 4, 2)
+    assert report.errors == ("step 1: knowledge became contradictory",)
+    assert report.state is None
+    assert not report.plan_found
+
+
+def test_replay_names_the_branches_that_miss_the_strong_goal():
+    """a causes g only where f holds, so after a split on f only the
+    true side reaches the strong goal; the weak goal is empty and holds
+    on both."""
+    d = parse_domain(
+        "(:action s :observe f) (:action a :effect (when f g)) (:init -g) (:goal strong g)"
+    )
+    act = Step(("a",), None, None, Leaf(), None)
+    report = verify_plan(d, Step(("s",), "f", None, act, act), 2, 1)
+    assert report.strong_failures == (1,)
+    assert report.errors == ()
+    assert not report.plan_found
 
 
 @pytest.mark.parametrize(
