@@ -706,15 +706,6 @@ class EpistemicState:
             mask ^= low
         return tuple(out)
 
-    def sensing_outcome(self, branch: int, fluent: str) -> bool | None:
-        """Current knowledge of a fluent at the horizon: True/False/None."""
-        h = self.horizon
-        if self.knows(Literal(fluent, True), h, branch, h):
-            return True
-        if self.knows(Literal(fluent, False), h, branch, h):
-            return False
-        return None
-
     def is_executable(self, branch: int, action_name: str) -> bool:
         need = self.compiled.actions[action_name].need
         h = self.horizon

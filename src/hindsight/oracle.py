@@ -39,7 +39,9 @@ later group exponentially often (_consistent_choices).
 Queries use hindsight semantics: "was l true at time t" is answered
 from the initial worlds that survive *all* observations along the whole
 trace, evolved forward t steps: the final survivor mask applied to the
-time-t columns.
+time-t columns.  One loop carries the columns and the survivor mask
+through a sequence of compiled steps (_Worlds.extend); a trace runs it
+from time zero, a checked timeline from the nearest one checked before.
 
 soundness_check checks a claim as one mask operation.  For each time
 point of a branch it keeps an *allowed* row in the engine's
@@ -47,12 +49,13 @@ literal-bit numbering: the positive literal's bit when the fluent is
 true in every survivor, the negative one's when it is false in every
 survivor.  The engine claims the literals of its layer row `known`, so
 the wrong claims are `known & ~allowed`; literals and the violation
-text are built only when there is one.  The numbering is read once per
-compiled domain from `CompiledDomain.bit`, the table that names the
-engine's bits.  That is the whole of what the check takes from the
-engine besides its claims: the allowed rows come from the columns
-alone, through no engine inference, so an engine that derives a wrong
-literal cannot make the oracle agree with it.
+text are built only when there is one.  The numbering is read from
+`CompiledDomain.bit`, the table that names the engine's bits, once per
+domain: every compiled form of one domain numbers its literals alike.
+That is the whole of what the check takes from the engine besides its
+claims: the allowed rows come from the columns alone, through no engine
+inference, so an engine that derives a wrong literal cannot make the
+oracle agree with it.
 
 soundness_check does not replay a branch from time zero.  The compiled
 domain keeps a survivor table from each engine `Timeline` it checked to
@@ -65,16 +68,16 @@ survivor mask, the allowed rows already known stand, and one row per
 new time point is added; otherwise every row is recomputed.  A state
 checked right after its parent thus costs one step per branch.  This
 rests on timelines never changing: a timeline's chain, and so its
-columns and survivors, is fixed when it is made.  Entries hold their
-timeline, so its id cannot be reused while the entry lives, and a hit
-also compares identity.  The table is dropped with the compiled domain
-when a query names another domain, and emptied whenever it reaches
+columns and survivors, is fixed when it is made.  The table is keyed
+on the timelines themselves, which hash by identity, so an entry keeps
+its timeline alive.  The table is dropped with the compiled domain when
+a query names another domain, and emptied whenever it reaches
 MAX_SURVIVOR_ENTRIES, after which branches replay from time zero again.
 
-The public functions keep worlds as frozensets of fluent names; they
-encode their arguments, run the column core and decode the result.  All
-of it is deliberately exhaustive and simple — it exists to cross-check
-the polynomial engine, so it shares no inference code with it.
+tqs_timeline decodes its columns into frozensets of fluent names, and
+tqs_entails reads one column under the survivor mask.  All of it is
+deliberately exhaustive and simple — it exists to cross-check the
+polynomial engine, so it shares no inference code with it.
 """
 
 from __future__ import annotations
@@ -83,10 +86,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
-from hindsight.model import Fluent, Literal, PlanningDomain, complement
+from hindsight.model import Fluent, Literal, PlanningDomain, complement, neg, pos
 
 if TYPE_CHECKING:  # pragma: no cover
-    from hindsight.engine import CompiledDomain, EpistemicState, Timeline
+    from hindsight.engine import EpistemicState, Timeline
 
 # 2**16 initial worlds is the most the exhaustive enumeration will attempt.
 MAX_ORACLE_FLUENTS = 16
@@ -94,8 +97,6 @@ MAX_ORACLE_WORLDS = 1 << MAX_ORACLE_FLUENTS
 # The survivor table and the compiled link steps of one domain are each
 # emptied when they reach this many entries.
 MAX_SURVIVOR_ENTRIES = 1 << 12
-
-WorldState = frozenset
 
 
 class OracleCapacityError(Exception):
@@ -189,12 +190,6 @@ def _transpose(columns: _Columns, mask: int) -> list[int]:
     return [sum(1 << k for k, row in enumerate(rows) if row[i] == "1") for i in members]
 
 
-def _columns(states: Sequence[int], n: int) -> _Columns:
-    """The columns of a few world states over n fluents, world i being
-    `states[i]`."""
-    return tuple(sum(1 << i for i, state in enumerate(states) if state >> k & 1) for k in range(n))
-
-
 class _Worlds:
     """A domain compiled to world columns."""
 
@@ -208,11 +203,10 @@ class _Worlds:
         }
         # (names, observation) of a timeline link -> its compiled step
         self.link_steps: dict[tuple, _Step] = {}
-        # id(timeline) -> (timeline, what survives its chain)
-        self.survivors: dict[int, tuple[Timeline, _Survivors]] = {}
-        # the compiled domain whose literal numbering the allowed rows
-        # use, and that numbering: per fluent, its true and false bit
-        self.numbered: CompiledDomain | None = None
+        # timeline -> what survives its chain
+        self.survivors: dict[Timeline, _Survivors] = {}
+        # per fluent, the bits of its true and its false literal in the
+        # engine's numbering, once soundness_check has read them
         self.bits: tuple[tuple[int, int], ...] = ()
 
     def _rule(self, conditions: Iterable[Literal], effect: Literal) -> _Rule:
@@ -318,43 +312,33 @@ class _Worlds:
                 columns.append(int(chosen.translate(blocks) or "0", 2))
         return tuple(columns)
 
-    def encode(self, world: Iterable[Fluent]) -> int:
-        return sum(1 << self.index[f] for f in world)
-
-    def decode(self, world: int) -> WorldState:
+    def decode(self, world: int) -> frozenset:
         return frozenset(f for k, f in enumerate(self.fluents) if world >> k & 1)
 
-    def step_rules(self, actions: Iterable[str]) -> tuple[_Rule, ...]:
-        return tuple(r for name in actions for r in self.rules[name])
+    def compile_step(self, actions: Iterable[str], observations: Iterable) -> _Step:
+        """A step's (fluent index, observed value) pairs and effect rules.
+        Raises ValueError naming a fluent or action the domain does not
+        declare."""
+        try:
+            seen = tuple([(self.index[f], bool(value)) for f, value in observations])
+        except KeyError as missing:
+            raise ValueError(f"the trace observes undeclared fluent {missing}") from None
+        try:
+            rules = tuple([r for name in actions for r in self.rules[name]])
+        except KeyError as missing:
+            raise ValueError(f"the trace names undeclared action {missing}") from None
+        return seen, rules
 
-    def compile_step(self, step: TraceStep) -> _Step:
-        observations = tuple((self.index[f], bool(value)) for f, value in step.observations)
-        return observations, self.step_rules(step.actions)
-
-    def replay(self, steps: Iterable[TraceStep]) -> tuple[list[_Columns], int]:
-        """The columns at times 0..len(steps), and the mask of the
-        initial worlds that survive the whole trace."""
-        columns = [self.start]
-        mask = self.everyone
-        for step in steps:
-            observations, rules = self.compile_step(step)
+    def extend(
+        self, columns: tuple[_Columns, ...], mask: int, steps: Iterable[_Step]
+    ) -> tuple[tuple[_Columns, ...], int]:
+        """The columns at times 0..t and the survivor mask, carried
+        through `steps`: each step observes the newest time point, then
+        advances it."""
+        for observations, rules in steps:
             mask = _observe(columns[-1], observations, mask)
-            columns.append(_advance(columns[-1], rules, self.everyone))
+            columns += (_advance(columns[-1], rules, self.everyone),)
         return columns, mask
-
-    def numbering(self, compiled: CompiledDomain) -> tuple[tuple[int, int], ...]:
-        """Per fluent, the bits of its true and its false literal in
-        `compiled`'s numbering.  The table's allowed rows are in the
-        numbering last read; one that differs empties the table."""
-        if compiled is not self.numbered:
-            pairs = [[0, 0] for _ in self.fluents]
-            for lit in compiled.lits:
-                pairs[self.index[lit.fluent]][not lit.positive] = 1 << compiled.bit(lit)
-            bits = tuple(map(tuple, pairs))
-            if bits != self.bits:
-                self.survivors.clear()
-            self.numbered, self.bits = compiled, bits
-        return self.bits
 
     def link_step(self, link: Timeline) -> _Step:
         """The compiled step from `link.prev` to `link`."""
@@ -363,45 +347,39 @@ class _Worlds:
         if step is None:
             if len(self.link_steps) >= MAX_SURVIVOR_ENTRIES:
                 self.link_steps.clear()
-            seen = () if link.observation is None else (link.observation,)
-            step = self.link_steps[key] = self.compile_step(TraceStep(link.names, seen))
+            step = self.link_steps[key] = self.compile_step(link.names, _observed(link))
         return step
 
     def surviving(self, timeline: Timeline) -> _Survivors:
-        """What survives `timeline`'s chain, with allowed rows in the
-        numbering last read: extended from the nearest timeline on the
-        chain already in the table, or from time zero."""
+        """What survives `timeline`'s chain: extended from the nearest
+        timeline on the chain already in the table, or from time zero."""
         table = self.survivors
         pending = []
         link = timeline
-        while True:
-            entry = table.get(id(link))
-            if entry is not None and entry[0] is link:
-                if not pending:
-                    return entry[1]
-                columns, mask, allowed = entry[1]
-                break
-            if link.prev is None:
-                columns, mask, allowed = (self.start,), self.everyone, ()
-                break
+        while (entry := table.get(link)) is None and link.prev is not None:
             pending.append(link)
             link = link.prev
-        before = mask
-        for link in reversed(pending):
-            observations, rules = self.link_step(link)
-            mask = _observe(columns[-1], observations, mask)
-            columns += (_advance(columns[-1], rules, self.everyone),)
+        if entry is None:
+            entry = _Survivors((self.start,), self.everyone, ())
+        elif not pending:
+            return entry
+        columns, before, allowed = entry
+        columns, mask = self.extend(columns, before, map(self.link_step, reversed(pending)))
         if mask == before:
             # the rows known still stand; add one per new time point
             for c in columns[len(allowed):]:
                 allowed += (_allowed(c, mask, self.bits),)
         else:
             allowed = tuple(_allowed(c, mask, self.bits) for c in columns)
-        survivors = _Survivors(columns, mask, allowed)
         if len(table) >= MAX_SURVIVOR_ENTRIES:
             table.clear()
-        table[id(timeline)] = (timeline, survivors)
-        return survivors
+        table[timeline] = entry = _Survivors(columns, mask, allowed)
+        return entry
+
+
+def _observed(link: Timeline) -> tuple[tuple[Fluent, bool], ...]:
+    """What the step to `link` observed, as TraceStep.observations."""
+    return () if link.observation is None else (link.observation,)
 
 
 _last: _Worlds | None = None
@@ -469,55 +447,40 @@ def initial_sigma(domain: PlanningDomain) -> frozenset:
     return frozenset(map(worlds.decode, worlds.initial))
 
 
-def result_state(domain: PlanningDomain, world: WorldState, actions: Iterable[str]) -> WorldState:
-    """Pointwise transition: conditions on the pre-state, effects folded.
-
-    Simultaneous actions all read the same pre-state; their add and
-    delete sets are unioned, deletes applied last.
-    """
-    (post,) = apply_step(domain, (world,), TraceStep(tuple(actions)))
-    return post
-
-
-def apply_step(domain: PlanningDomain, sigma: Iterable, step: TraceStep) -> frozenset:
-    """One trace step over a belief state: observation filter, then effects."""
-    worlds = _compiled(domain)
-    states = [worlds.encode(world) for world in sigma]
-    columns = _columns(states, len(worlds.fluents))
-    everyone = (1 << len(states)) - 1
-    observations, rules = worlds.compile_step(step)
-    mask = _observe(columns, observations, everyone)
-    return frozenset(map(worlds.decode, _transpose(_advance(columns, rules, everyone), mask)))
-
-
-def entails(sigma: frozenset, literal: Literal) -> bool:
-    """True when the literal holds in every world.  Empty sigma is an error."""
-    if not sigma:
-        raise ValueError("entailment query against an empty belief state")
-    # the AND and the OR of the worlds, over the literal's fluent alone
-    every = all(literal.fluent in world for world in sigma)
-    some = any(literal.fluent in world for world in sigma)
-    return every if literal.positive else not some
-
-
 def tqs_timeline(domain: PlanningDomain, steps: tuple) -> tuple:
     """Hindsight belief states along a trace.
 
     Element t is the set of time-t states of those initial worlds that
     survive every observation in the *entire* trace — so later sensing
     sharpens what is known about earlier times.  All elements are empty
-    when the observations contradict each other.
+    when the observations contradict each other.  Raises ValueError on
+    a step naming an action or fluent the domain does not declare.
     """
     worlds = _compiled(domain)
-    columns, mask = worlds.replay(steps)
+    compiled = (worlds.compile_step(s.actions, s.observations) for s in steps)
+    columns, mask = worlds.extend((worlds.start,), worlds.everyone, compiled)
     return tuple(frozenset(map(worlds.decode, _transpose(c, mask))) for c in columns)
 
 
 def tqs_entails(domain: PlanningDomain, steps: tuple, literal: Literal, t: int) -> bool:
-    """Was `literal` true at time t, given everything the trace revealed?"""
+    """Was `literal` true at time t, given everything the trace revealed?
+
+    True when it holds in every surviving world.  Raises ValueError when
+    t lies outside the trace, when the literal or a step names a fluent
+    or action the domain does not declare, and when no world survives.
+    """
     if not 0 <= t <= len(steps):
         raise ValueError(f"query time {t} outside trace of length {len(steps)}")
-    return entails(tqs_timeline(domain, steps)[t], literal)
+    worlds = _compiled(domain)
+    k = worlds.index.get(literal.fluent)
+    if k is None:
+        raise ValueError(f"the query names undeclared fluent {literal.fluent!r}")
+    compiled = (worlds.compile_step(s.actions, s.observations) for s in steps)
+    columns, mask = worlds.extend((worlds.start,), worlds.everyone, compiled)
+    if not mask:
+        raise ValueError("entailment query against an empty belief state")
+    column = columns[t][k] & mask
+    return column == mask if literal.positive else not column
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +510,7 @@ def branch_trace(state: EpistemicState, branch_id: int) -> tuple:
     to the one its parent continued with.
     """
     return tuple(
-        TraceStep(link.names, () if link.observation is None else (link.observation,))
+        TraceStep(link.names, _observed(link))
         for link in state.branches[branch_id].timeline.chain()[1:]
     )
 
@@ -566,7 +529,10 @@ def soundness_check(state: EpistemicState) -> SoundnessReport:
     if state.inconsistent:
         raise ValueError("cannot soundness-check an inconsistent state")
     worlds = _compiled(state.domain)
-    worlds.numbering(state.compiled)
+    if not worlds.bits:
+        # every compiled form of the domain numbers fluent k's literals alike
+        bit = state.compiled.bit
+        worlds.bits = tuple((1 << bit(pos(f)), 1 << bit(neg(f))) for f in worlds.fluents)
     checked = 0
     violations: list[str] = []
     vacuous: list[int] = []

@@ -800,7 +800,6 @@ def _search(
     *,
     optimal: bool,
     concurrent: bool,
-    deepen: bool = True,
     checks: bool | None = None,
 ) -> tuple[ConditionalPlan, VerificationReport] | None:
     """The first plan of find_plan's restarts, or of find_optimal_plan's
@@ -834,8 +833,7 @@ def _search(
             for horizon in range(min(max_steps, budget) + 1)
         )
     else:
-        horizons = range(max_steps + 1) if deepen else [max_steps]
-        restarts = ((None, horizon) for horizon in horizons)
+        restarts = ((None, horizon) for horizon in range(max_steps + 1))
     first = next(restarts, None)
     if first is None:
         return None
@@ -863,19 +861,16 @@ def find_plan(
     max_branches: int,
     *,
     concurrent: bool = False,
-    deepen: bool = True,
     checks: bool | None = None,
 ) -> ConditionalPlan | None:
     """First plan found, at the smallest workable horizon.
 
-    With `deepen` the horizon grows from zero, so the returned plan is
-    as shallow as possible; without it only `max_steps` is tried, which
-    is faster when the needed depth is known.  The plan is replayed at
-    the full budgets before being returned.
+    The horizon grows from zero, so the returned plan is as shallow as
+    possible.  The plan is replayed at the full budgets before being
+    returned.
     """
     found = _search(
-        domain, max_steps, max_branches,
-        optimal=False, concurrent=concurrent, deepen=deepen, checks=checks,
+        domain, max_steps, max_branches, optimal=False, concurrent=concurrent, checks=checks
     )
     return None if found is None else found[0]
 

@@ -652,8 +652,7 @@ def _multi_branch_walk(domain, max_steps, max_branches, rng, digest, tally):
             a = picks[br]
             if a.is_sensing:
                 fluent = a.knowledge_props[0].fluent
-                known = state.sensing_outcome(br, fluent)
-                seen[br][h] = (fluent, known is not False)
+                seen[br][h] = (fluent, not state.knows(neg(fluent), h, br))
             if br in split:
                 child, fluent = split[br]
                 acts[child], seen[child] = {}, {h: (fluent, False)}

@@ -173,3 +173,10 @@ def test_validate_flags_contradictory_effect_conditions():
 def test_literal_ordering_is_stable():
     lits = [pos("b"), neg("b"), pos("a")]
     assert sorted(lits) == [pos("a"), neg("b"), pos("b")]
+
+
+def test_every_exported_name_resolves():
+    import hindsight
+
+    for name in hindsight.__all__:
+        assert hasattr(hindsight, name), name

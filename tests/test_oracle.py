@@ -37,11 +37,8 @@ from hindsight.oracle import (
     OracleCapacityError,
     SoundnessReport,
     TraceStep,
-    apply_step,
     branch_trace,
-    entails,
     initial_sigma,
-    result_state,
     soundness_check,
     tqs_entails,
     tqs_timeline,
@@ -108,45 +105,90 @@ def test_initial_sigma_capacity_cap():
         initial_sigma(d)
 
 
-def test_result_state_reads_conditions_on_the_pre_state():
+def _only(*fluents: str) -> frozenset:
+    """The belief state holding just the world where `fluents` are true."""
+    return frozenset({frozenset(fluents)})
+
+
+def test_tqs_timeline_reads_conditions_on_the_pre_state():
     d = PlanningDomain(
         fluents=("f", "g"),
         actions=(
             Action("mk_f", effect_props=(EffectProposition("mk_f_1", pos("f")),)),
             Action("chain", effect_props=(EffectProposition("chain_1", pos("g"), (pos("f"),)),)),
         ),
+        init=(neg("f"), neg("g")),
     )
-    # simultaneous execution must not chain within the step
-    assert result_state(d, frozenset(), ("mk_f", "chain")) == frozenset({"f"})
-    assert result_state(d, frozenset({"f"}), ("chain",)) == frozenset({"f", "g"})
+    # simultaneous execution must not chain within the step; the next
+    # step reads the f the first one made
+    steps = (TraceStep(("mk_f", "chain")), TraceStep(("chain",)))
+    assert tqs_timeline(d, steps) == (_only(), _only("f"), _only("f", "g"))
 
 
-def test_result_state_is_identity_for_sensing():
+def test_tqs_timeline_leaves_the_world_unchanged_when_sensing():
+    d = dataclasses.replace(yale_domain(), init=(pos("alive"), pos("loaded")))
+    for seen in ((), (("loaded", True),)):
+        steps = (TraceStep(("sense_bang",), seen),)
+        assert tqs_timeline(d, steps) == (_only("alive", "loaded"),) * 2
+
+
+def test_tqs_timeline_filters_on_the_pre_state_then_applies_effects():
     d = yale_domain()
-    w = frozenset({"alive", "loaded"})
-    assert result_state(d, w, ("sense_bang",)) == w
-
-
-def test_apply_step_filters_on_pre_state_then_applies_effects():
-    d = yale_domain()
-    sigma = initial_sigma(d)
-    assert sigma == frozenset({frozenset({"alive"}), frozenset({"alive", "loaded"})})
+    sigma = frozenset({frozenset({"alive"}), frozenset({"alive", "loaded"})})
     # pointwise physical step, no observation
-    assert apply_step(d, sigma, TraceStep(("shoot",))) == frozenset(
-        {frozenset({"alive"}), frozenset()}
+    assert tqs_timeline(d, (TraceStep(("shoot",)),)) == (
+        sigma,
+        frozenset({frozenset({"alive"}), frozenset()}),
     )
     # concurrent shoot+sense: the bang reports the pre-state load
-    out = apply_step(d, sigma, TraceStep(("shoot", "sense_bang"), (("loaded", True),)))
-    assert out == frozenset({frozenset()})
+    steps = (TraceStep(("shoot", "sense_bang"), (("loaded", True),)),)
+    assert tqs_timeline(d, steps) == (_only("alive", "loaded"), _only())
 
 
-def test_entails_requires_agreement_and_rejects_empty():
-    sigma = frozenset({frozenset({"a"}), frozenset({"a", "b"})})
-    assert entails(sigma, pos("a"))
-    assert not entails(sigma, pos("b"))
-    assert not entails(sigma, neg("b"))
-    with pytest.raises(ValueError):
-        entails(frozenset(), pos("a"))
+def test_tqs_entails_requires_agreement_and_rejects_an_empty_belief():
+    d = PlanningDomain(
+        fluents=("a", "b"),
+        actions=(Action("look", knowledge_props=(KnowledgeProposition("b"),)),),
+        init=(pos("a"),),
+    )
+    assert tqs_entails(d, (), pos("a"), 0)
+    assert not tqs_entails(d, (), neg("a"), 0)
+    assert not tqs_entails(d, (), pos("b"), 0)
+    assert not tqs_entails(d, (), neg("b"), 0)
+    contradiction = (
+        TraceStep(("look",), (("b", True),)),
+        TraceStep(("look",), (("b", False),)),
+    )
+    with pytest.raises(ValueError, match="empty belief state"):
+        tqs_entails(d, contradiction, pos("a"), 0)
+
+
+def _undeclared_domain() -> PlanningDomain:
+    return parse_domain("(:action a :effect g) (:init ¬g)")
+
+
+@pytest.mark.parametrize("literal", [neg("zzz"), pos("zzz")], ids=["negative", "positive"])
+def test_tqs_entails_rejects_an_undeclared_query_fluent(literal):
+    with pytest.raises(ValueError, match="undeclared fluent 'zzz'"):
+        tqs_entails(_undeclared_domain(), (), literal, 0)
+
+
+def test_tqs_rejects_a_trace_naming_an_undeclared_action():
+    d = _undeclared_domain()
+    steps = (TraceStep(("a",)), TraceStep(("zzz",)))
+    with pytest.raises(ValueError, match="undeclared action 'zzz'"):
+        tqs_timeline(d, steps)
+    with pytest.raises(ValueError, match="undeclared action 'zzz'"):
+        tqs_entails(d, steps, pos("g"), 0)
+
+
+def test_tqs_rejects_a_trace_observing_an_undeclared_fluent():
+    d = _undeclared_domain()
+    steps = (TraceStep(("a",), (("zzz", True),)),)
+    with pytest.raises(ValueError, match="undeclared fluent 'zzz'"):
+        tqs_timeline(d, steps)
+    with pytest.raises(ValueError, match="undeclared fluent 'zzz'"):
+        tqs_entails(d, steps, pos("g"), 1)
 
 
 def test_two_door_trace_leaves_door_states_unknown():
@@ -542,16 +584,33 @@ def test_survivor_table_keeps_to_its_bound_and_is_dropped_with_its_domain(monkey
         assert len(worlds.link_steps) <= 3
 
     def domains_in_table() -> set:
-        return {timeline.compiled.domain for timeline, _ in oracle._last.survivors.values()}
+        return {timeline.compiled.domain for timeline in oracle._last.survivors}
 
     assert domains_in_table() == {a[0].domain}
     soundness_check(b[-1])
     assert domains_in_table() == {b[0].domain}
     soundness_check(a[-1])
     # only the branches just checked, each replayed from time zero
-    assert [timeline for timeline, _ in oracle._last.survivors.values()] == [
+    assert list(oracle._last.survivors) == [
         a[-1].branches[br].timeline for br in sorted(a[-1].branches)
     ]
+
+
+def test_survivor_table_serves_two_compiled_forms_of_one_domain(monkeypatch, walked):
+    monkeypatch.setattr(oracle, "_last", None)  # start from an empty table
+    domain = _two_longest(walked)[0][0].domain
+    # each walk starts from its own initial_state, so its own compiled form
+    first, second = _walk_states(domain), _walk_states(domain)
+    assert first[0].compiled is not second[0].compiled
+    size = 0
+    for pair in zip(first, second):
+        for state in pair:
+            _assert_matches_reference(state)
+            table = oracle._compiled(domain).survivors
+            assert len(table) >= size  # never emptied
+            size = len(table)
+    held = {timeline.compiled for timeline in oracle._compiled(domain).survivors}
+    assert held == {first[0].compiled, second[0].compiled}
 
 
 # -- the column core at larger sizes ------------------------------------------

@@ -222,14 +222,6 @@ def test_door_plan_replays_cleanly():
     assert soundness_check(report.state).ok
 
 
-def test_door_plan_without_deepening_fills_the_horizon():
-    plan = find_plan(door_domain(), max_steps=4, max_branches=1, deepen=False)
-    report = verify_plan(door_domain(), plan, max_steps=4, max_branches=1)
-    assert report.ok
-    # the fixed-horizon search pads with a second (useless) door push
-    assert count_occurrences(plan) == 4
-
-
 def test_no_plan_when_the_step_budget_is_too_small():
     assert find_plan(door_domain(), max_steps=2, max_branches=1) is None
 
@@ -323,7 +315,6 @@ def _searches(domain, bounds, concurrent_bounds):
     steps, branches = bounds
     return (
         find_plan(domain, steps, branches, checks=False),
-        find_plan(domain, steps, branches, deepen=False, checks=False),
         find_optimal_plan(domain, steps, branches, checks=False),
         find_plan(domain, *concurrent_bounds, concurrent=True, checks=False),
     )
@@ -374,7 +365,10 @@ def _reference_first_plan(domain, horizon, max_branches, concurrent, occ_budget,
             if state.is_executable(branch, a.name)
             and not (
                 a.is_sensing
-                and state.sensing_outcome(branch, a.knowledge_props[0].fluent) is not None
+                and any(
+                    state.knows(Literal(a.knowledge_props[0].fluent, value), state.horizon, branch)
+                    for value in (True, False)
+                )
             )
         )
         if not concurrent:
@@ -460,7 +454,6 @@ def _reference_searches(domain, bounds, concurrent_bounds):
     c_steps, c_branches = concurrent_bounds
     return (
         first(range(steps + 1), branches, False),
-        first([steps], branches, False),
         optimal(),
         first(range(c_steps + 1), c_branches, True),
     )
@@ -1496,7 +1489,6 @@ def test_a_search_raises_what_its_first_restart_raises():
     for call in (
         lambda: find_plan(d, 4, -1),
         lambda: find_optimal_plan(d, 4, -1),
-        lambda: find_plan(d, -1, 1, deepen=False),
     ):
         with pytest.raises(EngineError, match="non-negative"):
             call()
@@ -1512,7 +1504,6 @@ def test_contradictory_initial_knowledge_has_no_plan(init):
     d = parse_domain(f"(:init {init}) (oneof c d) (:action noop :effect g) (:goal strong g)")
     assert initial_state(d, 2, 0).inconsistent
     assert find_plan(d, 2, 0) is None
-    assert find_plan(d, 2, 0, deepen=False) is None
     assert find_optimal_plan(d, 2, 0) is None
 
 
