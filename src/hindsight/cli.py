@@ -154,13 +154,6 @@ def _bounds(args, domain: PlanningDomain, bench: tuple | None) -> tuple[int, int
     return steps, branches
 
 
-def _atom_counts(state: EpistemicState) -> tuple[int, ...]:
-    counts = [0] * (state.horizon + 1)
-    for _lit, _t, t1, _br in state.knows_atoms():
-        counts[t1] += 1
-    return tuple(counts)
-
-
 def _oracle_summary(state: EpistemicState) -> tuple[str, bool]:
     """(display string, ok?) for a soundness check of the final state."""
     try:
@@ -240,7 +233,7 @@ def _run_search(name: str, domain: PlanningDomain, args, bench: tuple | None) ->
 
     plan, verification = found
     state = verification.state
-    counts = _atom_counts(state)
+    counts = state.atom_counts()
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
 
     oracle_text = None

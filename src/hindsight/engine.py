@@ -120,7 +120,6 @@ from hindsight.model import (
     PlanningDomain,
     validate_domain,
 )
-from hindsight.symmetry import find_families
 
 CHECKS_ENV_VAR = "HINDSIGHT_CHECK"
 
@@ -186,6 +185,14 @@ def _possibly_fired(rules: tuple, row: int) -> int:
     return mask
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _clashes(compiled: CompiledDomain, rows: Iterable[int]) -> bool:
     """Does some row hold a literal and its complement?"""
     clash = 0
@@ -213,7 +220,9 @@ class CompiledAction:
 
 
 class CompiledDomain:
-    """A validated domain's bit layout, action masks and closure.
+    """A validated domain's bit layout, action masks and closure: the
+    knowledge tables every timeline of the domain shares, and nothing
+    else.
 
     Bit 2k is fluent k true, bit 2k+1 fluent k false.
     """
@@ -222,15 +231,9 @@ class CompiledDomain:
         self.domain = domain
         self.fluents = domain.fluents
         self.findex = {f: i for i, f in enumerate(domain.fluents)}
-        # per literal bit: the interned literal, the prefix of its knowledge
-        # atom, and that of the atom saying no applied effect may have
-        # produced it ("kNotInit(f," for f, "kNotTerm(f," for -f)
+        # the interned literal of each bit
         self.lits = tuple(
             Literal(f, positive) for f in domain.fluents for positive in (True, False)
-        )
-        self.knows_prefixes = tuple(f"knows({lit}," for lit in self.lits)
-        self.unfired_prefixes = tuple(
-            f"{kind}({f}," for f in domain.fluents for kind in ("kNotInit", "kNotTerm")
         )
         self.even = sum(1 << b for b in range(0, 2 * len(domain.fluents), 2))
         self.init = self.mask(domain.init)
@@ -249,28 +252,6 @@ class CompiledDomain:
         # names -> (need, rules, sensed) of each occurrence set that passed
         # the checks that do not read knowledge (see `occurrences`)
         self.valid: dict[tuple[str, ...], tuple[int, tuple, int]] = {}
-        # find_mirrors' table, None until it is first called
-        self.mirrors: dict[str, tuple[int, int, tuple[int, ...]]] | None = None
-
-    def find_mirrors(self) -> dict[str, tuple[int, int, tuple[int, ...]]]:
-        """The actions of the domain's interchangeable blocks
-        (symmetry.find_families), each as (place, block, bits): `place`
-        numbers its family and its place in its block, `block` numbers
-        its block, and `bits` are the true bits of the block's fluents,
-        in the order every block of the family lists them.  Kept in
-        `mirrors`, so the blocks are looked for at most once per compiled
-        domain."""
-        if self.mirrors is None:
-            self.mirrors = {}
-            place = block = 0
-            for family in find_families(self.domain):
-                for b in family.blocks:
-                    bits = tuple(2 * self.findex[f] for f in b.fluents)
-                    for p, name in enumerate(b.actions, place):
-                        self.mirrors[name] = (p, block, bits)
-                    block += 1
-                place += len(family.blocks[0].actions)
-        return self.mirrors
 
     def bit(self, lit: Literal) -> int:
         return self.findex[lit.fluent] * 2 + (0 if lit.positive else 1)
@@ -697,14 +678,8 @@ class EpistemicState:
             t1 = self.horizon
         if not 0 <= t <= t1 <= self.horizon:
             return ()
-        mask = self.branches[branch].layer(t1)[t]
         lits = self.compiled.lits
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(lits[low.bit_length() - 1])
-            mask ^= low
-        return tuple(out)
+        return tuple(lits[bit] for bit in _bits(self.branches[branch].layer(t1)[t]))
 
     def is_executable(self, branch: int, action_name: str) -> bool:
         need = self.compiled.actions[action_name].need
@@ -779,8 +754,13 @@ class EpistemicState:
         """Every derived atom, rendered and sorted; the trace format."""
         out: list[str] = []
         compiled = self.compiled
-        knows = compiled.knows_prefixes
-        unfired = compiled.unfired_prefixes
+        # per literal bit: the prefix of its knowledge atom, and that of the
+        # atom saying no applied effect may have produced it ("kNotInit(f,"
+        # for f, "kNotTerm(f," for -f)
+        knows = [f"knows({lit}," for lit in compiled.lits]
+        unfired = [
+            f"{kind}({f}," for f in compiled.fluents for kind in ("kNotInit", "kNotTerm")
+        ]
         every_bit = (1 << len(unfired)) - 1
         for bid in sorted(self.branches):
             b = self.branches[bid]
@@ -791,21 +771,14 @@ class EpistemicState:
             for t1 in range(max(b.created_at, 0), len(chain)):
                 layer = chain[t1].layer
                 for t, mask in enumerate(layer):
-                    m = mask
                     where = f"{t},{t1},{bid})"
-                    while m:
-                        low = m & -m
-                        out.append(knows[low.bit_length() - 1] + where)
-                        m ^= low
+                    out += (knows[bit] + where for bit in _bits(mask))
                 if t1 > b.created_at:
                     out.append(f"uBr({t1},{bid})")
                     for t in range(min(t1 + 1, len(rules))):
-                        m = every_bit & ~_possibly_fired(rules[t], layer[t])
+                        untouched = every_bit & ~_possibly_fired(rules[t], layer[t])
                         where = f"{t},{t1},{bid})"
-                        while m:
-                            low = m & -m
-                            out.append(unfired[low.bit_length() - 1] + where)
-                            m ^= low
+                        out += (unfired[bit] + where for bit in _bits(untouched))
             # link t+1 is the timeline step t made.  occ and sOcc belong to
             # the branch's own steps, after its split; apply also covers the
             # shared past, which the branch re-evaluates, and sRes starts at
@@ -827,19 +800,17 @@ class EpistemicState:
                 out.append(f"nextBr({b.created_at},{b.parent},{bid})")
         return sorted(out)
 
-    def knows_atoms(self) -> Iterator[tuple[Literal, int, int, int]]:
-        """(literal, t, t1, branch) for every knowledge atom."""
-        lits = self.compiled.lits
-        for bid in sorted(self.branches):
-            b = self.branches[bid]
-            chain = b.timeline.chain()
-            for t1 in range(max(b.created_at, 0), len(chain)):
-                for t, mask in enumerate(chain[t1].layer):
-                    m = mask
-                    while m:
-                        low = m & -m
-                        yield lits[low.bit_length() - 1], t, t1, bid
-                        m ^= low
+    def atom_counts(self) -> tuple[int, ...]:
+        """Knowledge atoms per stage t1: the literals known about every
+        t <= t1 after t1 steps, summed over the branches in use at stage
+        t1, each from the stage of its split on (the root from stage 0)."""
+        counts = [0] * (self.horizon + 1)
+        for b in self.branches.values():
+            link = b.timeline
+            while link is not None and link.horizon >= b.created_at:
+                counts[link.horizon] += sum(row.bit_count() for row in link.layer)
+                link = link.prev
+        return tuple(counts)
 
     # -- assertion-checked build ------------------------------------------------
 

@@ -99,9 +99,9 @@ costs, and B yields nothing either.  A candidate that yielded is never
 recorded, so no yield, yield order or returned plan changes.  The cut
 works where the fifth and sixth do not, at timelines that can split, so
 a search that can make no split never looks for blocks; a search looks
-for them at its first key, once per compiled domain
-(`CompiledDomain.find_mirrors`).  The checked build expands every
-candidate the cut skips and asserts that it yields nothing.
+for them once, at its first node that can split (_mirror_table).  The
+checked build expands every candidate the cut skips and asserts that
+it yields nothing.
 
 Every plan a search returns has been replayed once through the engine
 from scratch by verify_plan, which is also the public checker for plans
@@ -119,7 +119,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from hindsight.engine import (
     CompiledDomain,
@@ -130,6 +130,7 @@ from hindsight.engine import (
     initial_state,
 )
 from hindsight.model import PlanningDomain
+from hindsight.symmetry import find_families
 
 
 class PlanFormatError(Exception):
@@ -505,10 +506,11 @@ def _candidates(
     timeline: Timeline,
     concurrent: bool,
     sensing: bool,
-) -> list[tuple[str, ...]]:
+) -> Iterable[tuple[str, ...]]:
     """Occurrence sets to try: single actions in name order, or in
     concurrent mode action subsets smallest first with at most one
-    sensor each.
+    sensor each.  Subsets are made one at a time, as they are tried:
+    n actions have 2**n of them, too many to hold at once.
 
     Sensing a fluent whose value is already known derives nothing and
     is skipped.  Without `sensing` every sensor is skipped: the plan has
@@ -538,13 +540,13 @@ def _candidates(
         names.append(a.name)
     if not concurrent:
         return [(n,) for n in names]
-    subsets: list[tuple[str, ...]] = []
-    for size in range(1, len(names) + 1):
-        for combo in combinations(names, size):
-            sensors = sum(1 for n in combo if compiled.actions[n].sensed >= 0)
-            if sensors <= 1:
-                subsets.append(combo)
-    return subsets
+    actions = compiled.actions
+    return (
+        combo
+        for size in range(1, len(names) + 1)
+        for combo in combinations(names, size)
+        if sum(1 for n in combo if actions[n].sensed >= 0) <= 1
+    )
 
 
 # The solver nests about two generator frames per step, so a step budget
@@ -592,6 +594,9 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
             union |= a.effects
         per_step = (union & both).bit_count()
     actions = compiled.actions
+    # the seventh cut's table (_mirror_table), built at the first node
+    # that can split
+    mirrors = None
 
     def solve(
         timeline: Timeline,
@@ -600,6 +605,7 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
         occ_budget: int | None,
         split_budget: int,
     ) -> Iterator[tuple[ConditionalPlan, int, int]]:
+        nonlocal mirrors
         need = both if weak_required else strong
         row = timeline.layer[-1]
         if row & need == need:
@@ -628,9 +634,12 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
                     every = _candidates(compiled, timeline, concurrent, sensing)
                     assert_dead(timeline, every, d, weak_required, occ_budget, split_budget)
                 return
-        elif compiled.mirrors != {}:
-            # it can split, and the domain is not known to have no block
-            failed = set()
+        else:
+            # it can split: the seventh cut works if the domain has a block
+            if mirrors is None:
+                mirrors = _mirror_table(compiled)
+            if mirrors:
+                failed = set()
         found = False
         for acts in _candidates(compiled, timeline, concurrent, sensing):
             if d == 1 and sensors.isdisjoint(acts):
@@ -645,7 +654,7 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
                     continue
             mirror = None
             if failed:
-                mirror = _mirror_key(timeline, acts)
+                mirror = _mirror_key(timeline, acts, mirrors)
                 if mirror in failed:
                     if timeline.checks:
                         assert_dead(timeline, [acts], d, weak_required, occ_budget, split_budget)
@@ -656,7 +665,7 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
                 yield hit
             if not yielded and failed is not None:
                 if not failed:
-                    mirror = _mirror_key(timeline, acts)
+                    mirror = _mirror_key(timeline, acts, mirrors)
                 if mirror is not None:
                     failed.add(mirror)
         if key is not None and not found and (len(dead_ends) < MAX_DEAD_ENDS or key in dead_ends):
@@ -752,31 +761,42 @@ def _make_solver(compiled: CompiledDomain, concurrent: bool, dead_ends: dict) ->
     return solve
 
 
-def _mirror_key(timeline: Timeline, acts: tuple[str, ...]) -> tuple[int, int] | None:
+def _mirror_table(compiled: CompiledDomain) -> dict[str, tuple[int, frozenset, tuple]]:
+    """The actions of the domain's interchangeable blocks
+    (symmetry.find_families), each as (place, block, bits): `place`
+    numbers its family and its place in its block, `block` holds the
+    names of its block's actions, and `bits` are the true bits of the
+    block's fluents, in the order every block of the family lists them."""
+    mirrors = {}
+    place = 0
+    for family in find_families(compiled.domain):
+        for b in family.blocks:
+            block = frozenset(b.actions)
+            bits = tuple(2 * compiled.findex[f] for f in b.fluents)
+            for p, name in enumerate(b.actions, place):
+                mirrors[name] = (p, block, bits)
+        place += len(family.blocks[0].actions)
+    return mirrors
+
+
+def _mirror_key(
+    timeline: Timeline, acts: tuple[str, ...], mirrors: dict
+) -> tuple[int, int] | None:
     """The seventh cut's key of candidate `acts` at `timeline`: its place
     in its family's blocks and its block's bits in every row of the
     layer, or None for a set of more than one action, an action in no
-    block, and a block one of whose actions the timeline's chain names
-    (module docstring)."""
-    if len(acts) != 1:
-        return None
-    links = []
-    link = timeline
-    while link.prev is not None:
-        # an action is in its own block: no need to look the blocks up
-        if acts[0] in link.names:
-            return None
-        links.append(link)
-        link = link.prev
-    mirrors = timeline.compiled.find_mirrors()
-    entry = mirrors.get(acts[0])
+    block of `mirrors` (_mirror_table), and a block one of whose actions
+    the timeline's chain names, the candidate's own included (module
+    docstring)."""
+    entry = mirrors.get(acts[0]) if len(acts) == 1 else None
     if entry is None:
         return None
     place, block, bits = entry
-    for link in links:
-        for name in link.names:
-            if name in mirrors and mirrors[name][1] == block:
-                return None
+    link = timeline
+    while link.prev is not None:
+        if not block.isdisjoint(link.names):
+            return None
+        link = link.prev
     key = 0
     for row in timeline.layer:
         for bit in bits:

@@ -528,7 +528,7 @@ def test_criterion_8_growth_is_polynomial_cubic_at_most():
                 chain = Step((f"dunk_{i}",), on_true=chain)
             report = verify_plan(domain, chain, n, 0, checks=True)
             assert report.plan_found
-            atom_totals.append(sum(1 for _ in report.state.knows_atoms()))
+            atom_totals.append(sum(report.state.atom_counts()))
             instances = emit_foundational_theory(n, 0) + emit_domain_rules(domain)
             ground_totals.append(ground_instance_count(instances, domain, n, 0))
         atom_slope = _loglog_slope(sizes, atom_totals)

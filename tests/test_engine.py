@@ -400,6 +400,56 @@ def test_known_literals_is_empty_wherever_knows_is_false():
         assert s.known_literals(br, s.horizon + 1) == ()
 
 
+def _replay_states(domain, plan, max_steps, max_branches):
+    """The states of a plan's replay, time zero first, one per step until
+    the plan ends."""
+    from hindsight.search import plan_walk
+
+    steps: dict[int, dict[int, tuple[str, ...]]] = {}
+    for t, br, step, _child in plan_walk(plan):
+        steps.setdefault(t, {})[br] = step.actions
+    state = initial_state(domain, max_steps, max_branches)
+    states = [state]
+    for t in range(len(steps)):
+        state = state.step(steps[t])
+        states.append(state)
+    return states
+
+
+def _knows_per_stage(state) -> tuple[int, ...]:
+    """knows(lit,t,t1,br) atoms of the rendered trace, counted per t1."""
+    counts = [0] * (state.horizon + 1)
+    for atom in state.all_atoms():
+        if atom.startswith("knows("):
+            counts[int(atom.split(",")[-2])] += 1
+    return tuple(counts)
+
+
+def test_atom_counts_match_the_knowledge_atoms_of_the_trace():
+    """atom_counts()[t1] is the number of knows(…,t,t1,br) atoms
+    all_atoms() renders: on the replayed state of every ladder rung, and
+    on every state of sickness(3-5)'s replays, the split states among
+    them."""
+    from test_cli import LADDER_DIGESTS, _ladder_text
+
+    from hindsight.generators import benchmark_bounds, generate_sickness
+    from hindsight.search import find_plan, verify_plan
+
+    for rung in LADDER_DIGESTS:
+        text, bounds = _ladder_text(rung)
+        domain = parse_domain(text)
+        state = verify_plan(domain, find_plan(domain, *bounds), *bounds).state
+        assert state.atom_counts() == _knows_per_stage(state), rung
+    splits = 0
+    for n in (3, 4, 5):
+        domain = generate_sickness(n)
+        bounds = benchmark_bounds("sickness", n)
+        for state in _replay_states(domain, find_plan(domain, *bounds), *bounds):
+            assert state.atom_counts() == _knows_per_stage(state), (n, state.horizon)
+            splits += any(b.created_at == state.horizon - 1 for b in state.branches.values())
+    assert splits == 3 + 4 + 5
+
+
 def test_negative_postdiction_never_blames_a_repeated_condition_alone():
     # a repeated condition counts among the "others" of its own copy, so
     # it is blamed only when every condition was known to hold
@@ -751,7 +801,8 @@ def test_random_walks_beyond_criterion_2_stay_monotone_and_sound():
                     break
                 except EngineError:
                     pass
-            assert set(state.knows_atoms()) <= set(nxt.knows_atoms())
+            knows = [{a for a in s.all_atoms() if a.startswith("knows(")} for s in (state, nxt)]
+            assert knows[0] <= knows[1]
             for b in nxt.branches.values():
                 for t1 in range(nxt.horizon):
                     for t in range(t1 + 1):

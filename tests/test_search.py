@@ -13,6 +13,7 @@ import gc
 import hashlib
 import pathlib
 import random
+import tracemalloc
 import weakref
 from itertools import combinations, islice
 
@@ -339,13 +340,27 @@ def test_leaving_out_waits_changes_no_returned_plan(monkeypatch):
     real = search._candidates
 
     def with_waits(compiled, timeline, concurrent, sensing):
-        return real(compiled, timeline, concurrent, sensing) + [()]
+        return [*real(compiled, timeline, concurrent, sensing), ()]
 
     monkeypatch.setattr(search, "_candidates", with_waits)
     reference = [_searches(*case) for case in cases]
     # equal plans have equal depth, so the shallowest horizon is unchanged
     assert found == reference
     assert sum(plans[0] is not None for plans in found) > 80
+
+
+def test_concurrent_candidates_are_made_one_at_a_time():
+    """bomb(20)'s root has 2**20 - 1 concurrent candidates; the first is
+    made without building the rest."""
+    root = initial_state(generate_bomb(20), *benchmark_bounds("bomb", 20)).branches[0].timeline
+    tracemalloc.start()
+    try:
+        first = next(iter(search._candidates(root.compiled, root, True, True)))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first == ("dunk_1",)
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +618,10 @@ def test_the_checked_build_catches_a_faulty_frontier_mask_test():
 def test_the_checked_build_catches_a_faulty_symmetry_cut(monkeypatch):
     """With every candidate given the same mirror key, the symmetry cut
     skips the door plan's `sense_open` once a second `open_door` there
-    yielded nothing; the checked build expands it and finds the plan."""
-    monkeypatch.setattr(search, "_mirror_key", lambda timeline, acts: 0)
+    yielded nothing; the checked build expands it and finds the plan.
+    The door domain has no block, so its table is made non-empty."""
+    monkeypatch.setattr(search, "_mirror_table", lambda compiled: {"open_door": None})
+    monkeypatch.setattr(search, "_mirror_key", lambda timeline, acts, mirrors: 0)
     assert find_plan(door_domain(), 3, 1, checks=False) is None
     with pytest.raises(AssertionError, match=r"skipped \('sense_open',\), which leads to a plan"):
         find_plan(door_domain(), 3, 1, checks=True)
@@ -938,8 +955,6 @@ def test_the_symmetry_cut_matches_a_brute_force_and_changes_no_plan(monkeypatch)
     force's on symmetric domains, both searches return the plans they
     return with detection finding nothing, and the cut makes fewer
     timeline steps, so it skipped candidates."""
-    from hindsight import engine
-
     cases = _symmetric_cases()
     found = [(find_plan(d, m, b), find_optimal_plan(d, m, b)) for d, m, b in cases]
     for (first, best), (d, m, b) in zip(found, cases):
@@ -971,7 +986,7 @@ def test_the_symmetry_cut_matches_a_brute_force_and_changes_no_plan(monkeypatch)
     monkeypatch.setattr(Timeline, "step", counting)
     plans, with_cut = searched()
     assert plans == found
-    monkeypatch.setattr(engine, "find_families", lambda domain: ())
+    monkeypatch.setattr(search, "find_families", lambda domain: ())
     plans, without = searched()
     assert plans == found
     assert with_cut < without
@@ -981,8 +996,6 @@ def test_the_symmetry_cut_changes_no_yield_of_the_solver(monkeypatch):
     """Every (plan, cost, splits) the solver yields, in order, is what it
     yields with detection finding nothing: the cut skips only candidates
     that yield nothing, never the mirror image of one that yielded."""
-    from hindsight import engine
-
     cases = [(generate_sickness(n), *benchmark_bounds("sickness", n)) for n in (3, 4)]
     cases += [case for case in _symmetric_cases() if case[2] > 0]
 
@@ -995,10 +1008,32 @@ def test_the_symmetry_cut_changes_no_yield_of_the_solver(monkeypatch):
         return found
 
     with_cut = yields()
-    monkeypatch.setattr(engine, "find_families", lambda domain: ())
+    monkeypatch.setattr(search, "find_families", lambda domain: ())
     assert yields() == with_cut
     assert [len(y) for y in with_cut[:2]] == [4, 36]
     assert sum(len(y) > 1 for y in with_cut) > 5
+
+
+def test_a_search_that_can_make_no_split_never_looks_for_blocks(monkeypatch):
+    """Detection runs only at a node that can split: not in domains with
+    no sensor, nor with a branch budget of 0."""
+
+    def refuse(domain):
+        raise AssertionError("looked for blocks")
+
+    monkeypatch.setattr(search, "find_families", refuse)
+    cases = [
+        (generate_rings(3), *benchmark_bounds("rings", 3)),
+        (generate_bomb(4), *benchmark_bounds("bomb", 4)),
+        (generate_sickness(4), benchmark_bounds("sickness", 4)[0], 0),
+    ]
+    found = [
+        (find_plan(d, steps, branches), find_optimal_plan(d, steps, branches))
+        for d, steps, branches in cases
+    ]
+    assert [first is not None for first, _best in found] == [True, True, False]
+    with pytest.raises(AssertionError, match="looked for blocks"):
+        find_plan(generate_sickness(4), *benchmark_bounds("sickness", 4))
 
 
 def test_a_mirror_image_whose_block_acted_before_is_not_skipped():
